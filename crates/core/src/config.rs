@@ -81,6 +81,11 @@ pub struct GcConfig {
     pub par_copy_threshold: usize,
 }
 
+/// Most cores the sparse and par engines can schedule: their wake sets
+/// are `u64` bitmasks, one bit per core. Larger configurations run the
+/// naive loop (see [`GcConfig::effective_engine`]).
+pub const SPARSE_MAX_CORES: usize = 64;
+
 /// Which simulation loop advances the collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -167,7 +172,15 @@ impl GcConfig {
     /// engines are bit-exact, so the swap is invisible to every stat;
     /// pin `engine: Some(EngineKind::Sparse)` (or `HWGC_ENGINE=sparse`)
     /// to defeat the heuristic, e.g. in differential tests.
+    ///
+    /// Above [`SPARSE_MAX_CORES`] every choice, pinned or not, is the
+    /// naive loop. This is the engine's only configuration gate, so
+    /// ledgers and reports that label a run by this value name the loop
+    /// that actually ran.
     pub fn effective_engine(&self) -> EngineKind {
+        if self.n_cores > SPARSE_MAX_CORES {
+            return EngineKind::Naive;
+        }
         match self.engine {
             Some(kind) => kind,
             // Only while fast-forward is on: without it the naive loop
@@ -274,6 +287,23 @@ mod tests {
                 ..sparse_off
             };
             assert_eq!(c.effective_engine(), kind);
+        }
+    }
+
+    #[test]
+    fn effective_engine_is_naive_above_the_sparse_core_limit() {
+        for kind in [None, Some(EngineKind::Sparse), Some(EngineKind::Par)] {
+            let at_limit = GcConfig {
+                engine: kind,
+                sparse: true,
+                ..GcConfig::with_cores(SPARSE_MAX_CORES)
+            };
+            assert_ne!(at_limit.effective_engine(), EngineKind::Naive, "{kind:?}");
+            let above = GcConfig {
+                n_cores: SPARSE_MAX_CORES + 1,
+                ..at_limit
+            };
+            assert_eq!(above.effective_engine(), EngineKind::Naive, "{kind:?}");
         }
     }
 

@@ -36,7 +36,7 @@ pub(crate) mod par;
 
 use hwgc_heap::header::Header;
 use hwgc_heap::{Addr, Heap, NULL};
-use hwgc_memsim::{DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem};
+use hwgc_memsim::{DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem, Port};
 use hwgc_obs::{Event, HostProf, NullHostProf, NullProbe, Probe, SampleRec};
 use hwgc_sync::{LockKind, SyncBlock};
 
@@ -90,6 +90,26 @@ fn park_key(reason: StallReason) -> &'static str {
         StallReason::HeaderStore => "engine.park.header_store",
         StallReason::EmptySpin => "engine.park.empty_spin",
         StallReason::Drain => "engine.park.drain",
+    }
+}
+
+/// Can a retirement on `port` make the retry of a core parked on
+/// `reason` succeed? A load or store wait depends only on its own port's
+/// transaction, `Drain` on every port going idle, and the lock and
+/// empty-worklist retries on SB state alone — so a memory wake for any
+/// other pairing would only buy the parked core one more failed retry.
+#[inline]
+fn mem_wakes(reason: StallReason, port: Port) -> bool {
+    match reason {
+        StallReason::BodyLoad => port == Port::BodyLoad,
+        StallReason::BodyStore => port == Port::BodyStore,
+        StallReason::HeaderLoad => port == Port::HeaderLoad,
+        StallReason::HeaderStore => port == Port::HeaderStore,
+        StallReason::Drain => true,
+        StallReason::ScanLock
+        | StallReason::FreeLock
+        | StallReason::HeaderLock
+        | StallReason::EmptySpin => false,
     }
 }
 
@@ -397,12 +417,16 @@ impl SimCollector {
         // (parked cores keep their slot in the arranged order, and skipped
         // cycles replay `arrange` against the frozen view, so policy RNG
         // streams stay aligned); only a mutator — which ticks every cycle
-        // and can touch any SB resource — forces the naive loop. The wake
-        // lists use one u64 bitmask, hence the 64-core bound. The parallel
-        // engine is the sparse loop plus conservative windows, so it
-        // shares the gate.
+        // and can touch any SB resource — forces the naive loop. Every
+        // configuration-level choice, the 64-core bound of the wake
+        // bitmasks included, is `effective_engine`'s alone, so the engine
+        // it reports is the engine that runs. The parallel engine is the
+        // sparse loop plus conservative windows, so it shares the gate.
         let kind = cfg.effective_engine();
-        let use_sparse = kind != EngineKind::Naive && mutator.is_none() && cfg.n_cores <= 64;
+        let use_sparse = kind != EngineKind::Naive && mutator.is_none();
+        // `CoreSm::tick` calls, reported as `engine.core_ticks` (counted
+        // only under an active hostprof).
+        let mut core_ticks: u64 = 0;
 
         if use_sparse {
             // ===========================================================
@@ -423,11 +447,22 @@ impl SimCollector {
             //   EmptySpin ............... SB empty list (set_free or a
             //                             busy-bit clear re-arms the
             //                             termination test it polls)
-            //   memory stalls, Drain .... memory wake feed (only a
-            //                             retirement of one of the core's
-            //                             own transactions can change its
-            //                             retry, and the feed reports
-            //                             every retirement)
+            //   memory stalls ........... memory wake feed, own port only
+            //                             (only that port's retirement can
+            //                             change the retry, and the feed
+            //                             reports every retirement as
+            //                             `(core, port)`)
+            //   Drain ................... memory wake feed, any own port
+            //
+            // A core never wakes on memory for a lock or empty-worklist
+            // park: those retries read SB state alone.
+            //
+            // A tick that issues a load and yields into its wait state
+            // parks right away (park at issue), unless the load already
+            // completed at issue — a header-cache hit, which no
+            // retirement would ever announce. The naive loop's following
+            // stalled retries are replayed at wake like any parked
+            // cycle, so the parking tick need not record a stall itself.
             //
             // Lock-failure retries are impure (each failed attempt counts,
             // and logs an event when the SB log is on): the skipped
@@ -453,8 +488,9 @@ impl SimCollector {
             // Cores ticking in the cycle currently executing.
             let mut cur: u64;
             let mut park_reason: Vec<Option<StallReason>> = vec![None; n];
-            // Cycle stamp of each core's parking tick (which recorded its
-            // own stall); replay at wake covers the cycles after it.
+            // Cycle stamp of each core's parking tick (a stalled retry,
+            // or the tick that issued the awaited load); replay at wake
+            // covers the cycles after it.
             let mut park_since: Vec<u64> = vec![0; n];
             // Position of each core in this cycle's arranged tick order.
             let mut pos_of: Vec<usize> = vec![0; n];
@@ -587,6 +623,9 @@ impl SimCollector {
                         line_split: cfg.line_split,
                     };
                     let outcome = core.tick(&mut ctx);
+                    if H::ACTIVE {
+                        core_ticks += 1;
+                    }
                     if !was_done && cores[idx].state() == State::Done {
                         done_count += 1;
                     }
@@ -630,8 +669,8 @@ impl SimCollector {
                         }
                     }
                     // Park decision (see the wake-condition catalog above).
-                    if let TickOutcome::Stalled(reason) = outcome {
-                        let park = match reason {
+                    let park = match outcome {
+                        TickOutcome::Stalled(reason) => match reason {
                             StallReason::ScanLock => match sb.scan_owner() {
                                 Some(_) if !sb.event_log_enabled() => {
                                     sb.park_on_scan_release(idx);
@@ -667,26 +706,33 @@ impl SimCollector {
                             | StallReason::HeaderLoad
                             | StallReason::HeaderStore
                             | StallReason::Drain => true,
-                        };
-                        if park {
-                            if H::ACTIVE {
-                                host.count(park_key(reason), 1);
-                            }
-                            if windowed
-                                && reason == StallReason::BodyLoad
-                                && is_win_cand(&cores[idx])
-                            {
-                                win_cands += 1;
-                            }
-                            park_reason[idx] = Some(reason);
-                            park_since[idx] = cycles + 1;
-                            awake &= !(1u64 << idx);
                         }
-                    } else if outcome == TickOutcome::Parked {
-                        // Done core: it never ticks again, and the
-                        // termination check below fires on the very cycle
-                        // the last core arrives — `Parked` naive ticks
-                        // record nothing, so nothing is replayed either.
+                        .then_some(reason),
+                        // Park at issue: the load just issued retires on
+                        // its own port, which wakes the core.
+                        TickOutcome::Progress => cores[idx]
+                            .awaited_load()
+                            .filter(|&(port, _)| !mem.load_ready(idx, port))
+                            .map(|(_, reason)| reason),
+                        TickOutcome::Parked => {
+                            // Done core: it never ticks again, and the
+                            // termination check below fires on the very
+                            // cycle the last core arrives — `Parked` naive
+                            // ticks record nothing, so nothing is replayed
+                            // either.
+                            awake &= !(1u64 << idx);
+                            None
+                        }
+                    };
+                    if let Some(reason) = park {
+                        if H::ACTIVE {
+                            host.count(park_key(reason), 1);
+                        }
+                        if windowed && reason == StallReason::BodyLoad && is_win_cand(&cores[idx]) {
+                            win_cands += 1;
+                        }
+                        park_reason[idx] = Some(reason);
+                        park_since[idx] = cycles + 1;
                         awake &= !(1u64 << idx);
                     }
                     // SB operations in this tick may have woken parked
@@ -727,7 +773,12 @@ impl SimCollector {
                     // in one step (see `engine::par` and DESIGN §10). On
                     // success the heap writes fan out across the host
                     // pool; on failure fall through to the ordinary jump.
-                    if win_cands > 0 {
+                    // Only window-ready instants count as attempts: park
+                    // at issue puts every core to sleep while the loads it
+                    // just issued still queue, and a veto there would
+                    // snooze the planner past the instant that follows,
+                    // one cycle later, once those loads are in service.
+                    if win_cands > 0 && mem.window_ready() {
                         if let Some(wd) = windower.as_mut() {
                             if cycles < wd.snooze_until {
                                 // Throttled after a failed attempt; the
@@ -934,12 +985,14 @@ impl SimCollector {
                 }
                 sb.begin_cycle();
                 cur = awake;
-                // Retirements in this memory tick wake their owners into
-                // this cycle — exactly the cycle the naive loop would
-                // first see the retry succeed.
+                // Retirements in this memory tick wake the cores waiting
+                // on those ports into this cycle — exactly the cycle the
+                // naive loop would first see the retry succeed.
                 for i in 0..mem.wakes().len() {
-                    let w = mem.wakes()[i];
-                    wake_parked!(w, true, "engine.wake.mem");
+                    let (w, port) = mem.wakes()[i];
+                    if park_reason[w].is_some_and(|reason| mem_wakes(reason, port)) {
+                        wake_parked!(w, true, "engine.wake.mem");
+                    }
                 }
                 mem.clear_wakes();
                 if let Some(p) = policy.as_deref_mut() {
@@ -1081,6 +1134,9 @@ impl SimCollector {
                         line_split: cfg.line_split,
                     };
                     let outcome = core.tick(&mut ctx);
+                    if H::ACTIVE {
+                        core_ticks += 1;
+                    }
                     outcomes[idx] = outcome;
                     any_progress |= outcome == TickOutcome::Progress;
                     if P::ACTIVE {
@@ -1331,6 +1387,7 @@ impl SimCollector {
         }
 
         if H::ACTIVE {
+            host.count("engine.core_ticks", core_ticks);
             let t = host.now();
             host.time("phase.steady", t - host_steady_start);
             host.span("phase.steady", host_steady_start, t);

@@ -280,6 +280,22 @@ impl CoreSm {
         (self.state == State::ChildLock).then_some(self.regs.child)
     }
 
+    /// The load this core waits on — its port and the stall its retries
+    /// record — if it sits in one of the four load-wait states. A tick
+    /// enters each only by issuing that load and yielding, so the sparse
+    /// engine parks the core right there unless the load already
+    /// completed at issue (a header-cache hit), instead of paying a
+    /// stalled retry first.
+    pub(crate) fn awaited_load(&self) -> Option<(Port, StallReason)> {
+        match self.state {
+            State::CopyWait => Some((Port::BodyLoad, StallReason::BodyLoad)),
+            State::ScanHeaderWait | State::ChildHeaderWait | State::ChildProbeWait => {
+                Some((Port::HeaderLoad, StallReason::HeaderLoad))
+            }
+            _ => None,
+        }
+    }
+
     /// The pure data-copy run this core is inside, if any — the window
     /// detector's eligibility view (see `engine::par`). `Some` only when
     /// the core sits in [`State::CopyWait`] or [`State::StoreWord`] with

@@ -14,12 +14,16 @@
 //!
 //! Graphs, core counts, memory latencies, and schedule policies are all
 //! drawn by proptest so the differential explores interleavings no
-//! hand-written graph pins down.
+//! hand-written graph pins down. So are the axes park-at-issue depends
+//! on — a header-cache hit completes a load at issue (the core must not
+//! park), the unlocked child-header probe is a third load-wait state, a
+//! reordered service queue changes which port retires first, and the
+//! DRAM backend retires on bank/row timing.
 
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
 use hwgc_core::{GcConfig, SimCollector};
 use hwgc_heap::{verify_collection, GraphBuilder, Heap, Snapshot};
-use hwgc_memsim::MemConfig;
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use proptest::prelude::*;
 
 /// One object: `pi` pointer slots, `delta` data words.
@@ -99,7 +103,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// No missed and no spurious wakeups, across graphs × cores ×
-    /// latency × schedule policy: the sparse engine's stats are
+    /// latency × schedule policy × header cache × test-before-lock ×
+    /// service order × backend: the sparse engine's stats are
     /// bit-identical to the always-awake shadow engine's.
     #[test]
     fn sparse_never_oversleeps(
@@ -111,9 +116,25 @@ proptest! {
         ]),
         policy_choice in 0u8..3,
         seed in 0u64..u64::MAX,
+        header_cache_entries in prop_oneof![Just(0usize), Just(16), Just(256)],
+        test_before_lock in prop_oneof![Just(false), Just(true)],
+        service_reorder_seed in prop::option::of(0u64..u64::MAX),
+        dram in prop_oneof![Just(false), Just(true)],
     ) {
+        let backend = if dram {
+            MemBackendKind::Dram(DramConfig::default())
+        } else {
+            MemBackendKind::Fixed
+        };
         let sparse_cfg = GcConfig {
-            mem: MemConfig::default().with_extra_latency(extra),
+            mem: MemConfig {
+                header_cache_entries,
+                service_reorder_seed,
+                ..MemConfig::default()
+            }
+            .with_extra_latency(extra)
+            .with_backend(backend),
+            test_before_lock,
             // Pinned so the 1-core draws still differential sparse vs
             // naive (the unpinned single-core default is the naive loop).
             engine: Some(hwgc_core::EngineKind::Sparse),
@@ -130,7 +151,9 @@ proptest! {
         let (n_stats, n_free, _, _) = run(naive_cfg, &shape, policy_choice, seed);
         prop_assert_eq!(
             &s_stats, &n_stats,
-            "sparse diverged from shadow naive engine ({cores} cores, +{extra} latency, policy {policy_choice})"
+            "sparse diverged from shadow naive engine ({cores} cores, +{extra} latency, \
+             policy {policy_choice}, header cache {header_cache_entries}, \
+             test-before-lock {test_before_lock}, reorder {service_reorder_seed:?}, dram {dram})"
         );
         prop_assert_eq!(s_free, n_free);
         // The collection itself must also be correct, not just consistent.

@@ -44,8 +44,9 @@
 //!    nothing; per-cycle counters are replicated in bulk).
 //! 5. **Wake completeness** ([`MemBackend::wakes`]): with the feed
 //!    enabled, every retirement that can change the outcome of a core's
-//!    retry pushes that core's id before the engine drains the feed — a
-//!    parked core is woken by the feed or not at all.
+//!    retry pushes that transaction's `(core, port)` before the engine
+//!    drains the feed — a parked core is woken by the feed or not at all,
+//!    and only by the port its retry waits on.
 
 use crate::dram::DramConfig;
 use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port};
@@ -236,9 +237,9 @@ pub trait MemBackend {
     /// Turn on the sparse-engine wake feed (contract obligation 5).
     fn enable_wake_feed(&mut self, n_cores: usize);
 
-    /// Core ids whose transactions retired since the last
-    /// [`MemBackend::clear_wakes`].
-    fn wakes(&self) -> &[usize];
+    /// The `(core, port)` of every transaction that retired since the
+    /// last [`MemBackend::clear_wakes`], in retirement order.
+    fn wakes(&self) -> &[(usize, Port)];
 
     /// Forget the drained wake notifications.
     fn clear_wakes(&mut self);
@@ -420,7 +421,7 @@ impl MemBackend for MemorySystem {
     }
 
     #[inline]
-    fn wakes(&self) -> &[usize] {
+    fn wakes(&self) -> &[(usize, Port)] {
         MemorySystem::wakes(self)
     }
 

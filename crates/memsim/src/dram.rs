@@ -45,10 +45,10 @@
 //!   possible service start has latency `>= tCAS >= 1`, and a tick in
 //!   which busy banks start nothing at all is equally core-invisible.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::backend::{MemBackend, MemBackendKind};
+use crate::calendar::RetireCalendar;
 use crate::system::{
     remove_one, MemConfig, MemEvent, MemEventRecord, MemStats, Port, RowOutcome, Txn, TxnState,
     PORT_COUNT,
@@ -200,9 +200,9 @@ pub struct DramMemorySystem {
     blocked: usize,
     complete: usize,
     next_retire: u64,
-    retire_cal: BinaryHeap<Reverse<(u64, u32, u8)>>,
+    retire_cal: RetireCalendar,
     pending_stores_dirty: bool,
-    wake_feed: Option<Vec<usize>>,
+    wake_feed: Option<Vec<(usize, Port)>>,
     events: Option<Vec<MemEventRecord>>,
 }
 
@@ -256,7 +256,7 @@ impl DramMemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: BinaryHeap::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            retire_cal: RetireCalendar::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
             pending_stores_dirty: false,
             wake_feed: None,
             events: None,
@@ -274,9 +274,9 @@ impl DramMemorySystem {
     }
 
     #[inline]
-    fn push_wake(&mut self, core: usize) {
+    fn push_wake(&mut self, core: usize, port: Port) {
         if let Some(feed) = &mut self.wake_feed {
-            feed.push(core);
+            feed.push((core, port));
         }
     }
 
@@ -353,14 +353,9 @@ impl DramMemorySystem {
 
         // 1. Retire in-service transactions that are due.
         if self.in_service > 0 && self.next_retire <= self.cycle {
-            while let Some(&Reverse((done_at, core, port_idx))) = self.retire_cal.peek() {
-                if done_at > self.cycle {
-                    break;
-                }
-                self.retire_cal.pop();
-                let core = core as usize;
-                let port = Port::ALL[port_idx as usize];
-                let txn = self.ports[core][port_idx as usize]
+            while let Some((done_at, core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
+                let port = Port::ALL[port_idx];
+                let txn = self.ports[core][port_idx]
                     .as_mut()
                     .expect("calendar entry without a transaction");
                 debug_assert_eq!(txn.state, TxnState::InService { done_at });
@@ -374,19 +369,16 @@ impl DramMemorySystem {
                         remove_one(&mut self.pending_header_stores, addr);
                         self.pending_stores_dirty = true;
                     }
-                    self.ports[core][port_idx as usize] = None;
+                    self.ports[core][port_idx] = None;
                     self.occupied -= 1;
                 }
                 self.log(MemEvent::Retire {
                     core: core as u32,
                     port,
                 });
-                self.push_wake(core);
+                self.push_wake(core, port);
             }
-            self.next_retire = match self.retire_cal.peek() {
-                Some(&Reverse((done_at, _, _))) => done_at,
-                None => u64::MAX,
-            };
+            self.next_retire = self.retire_cal.next_at();
         }
 
         // 2. Comparator re-check (identical to the fixed model).
@@ -470,8 +462,7 @@ impl DramMemorySystem {
                 debug_assert_eq!(txn.state, TxnState::Queued);
                 txn.state = TxnState::InService { done_at };
                 self.in_service += 1;
-                self.retire_cal
-                    .push(Reverse((done_at, core as u32, port as u8)));
+                self.retire_cal.push(done_at, core, port as usize);
                 self.next_retire = self.next_retire.min(done_at);
             }
         }
@@ -678,7 +669,7 @@ impl MemBackend for DramMemorySystem {
     }
 
     #[inline]
-    fn wakes(&self) -> &[usize] {
+    fn wakes(&self) -> &[(usize, Port)] {
         self.wake_feed.as_deref().unwrap_or(&[])
     }
 
@@ -955,7 +946,7 @@ mod tests {
         for _ in 0..4 {
             m.tick();
         }
-        assert_eq!(m.wakes(), &[0, 1]);
+        assert_eq!(m.wakes(), &[(0, Port::BodyLoad), (1, Port::BodyStore)]);
         m.clear_wakes();
         m.consume_load(0, Port::BodyLoad);
         assert!(m.all_idle());

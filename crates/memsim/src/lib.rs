@@ -29,6 +29,7 @@
 //! scan-side header read needs no memory access at all.
 
 pub mod backend;
+mod calendar;
 pub mod dram;
 pub mod fifo;
 pub mod system;

@@ -1,11 +1,11 @@
 //! The memory access scheduler and DRAM timing model.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::backend::{
     backend_from, BodyPortsView, BodyWindowPatch, InflightTxnView, MemBackendKind,
 };
+use crate::calendar::RetireCalendar;
 use crate::dram::DramStats;
 
 /// Memory-system configuration.
@@ -283,26 +283,19 @@ pub struct MemorySystem {
     blocked: usize,
     complete: usize,
     next_retire: u64,
-    /// Retirement calendar: one `(done_at, core, port)` entry per
-    /// in-service transaction, min-ordered. A retire cycle pops exactly
-    /// the transactions that are due instead of scanning every port
-    /// buffer and then rescanning to recompute `next_retire` — the scans
-    /// were O(cores × ports) on nearly every cycle at 16 cores, and
-    /// dominated the whole simulator (see DESIGN.md "profiling the
-    /// simulator"). In-service transactions never cancel, so the calendar
-    /// holds no stale entries, and within a cycle the `(core, port)` tie
-    /// break reproduces the old scan's retire order exactly (ports are
-    /// declared in index order). Bounded by the port-buffer count, so the
-    /// preallocated heap never grows.
-    retire_cal: BinaryHeap<Reverse<(u64, u32, u8)>>,
+    /// Retirement calendar: one entry per in-service transaction (see
+    /// [`RetireCalendar`]). Bounded by the port-buffer count, so the
+    /// preallocated calendar never grows.
+    retire_cal: RetireCalendar,
     /// Set when a pending header store retired; the comparator re-check
     /// can only unblock a load on such a cycle.
     pending_stores_dirty: bool,
-    /// Sparse-engine wake feed (`None` = off): core ids whose transactions
-    /// retired since the engine last drained. A core parked on a memory
-    /// stall re-ticks when its id appears here — retirement is the only
-    /// event that can make its retry succeed.
-    wake_feed: Option<Vec<usize>>,
+    /// Sparse-engine wake feed (`None` = off): the `(core, port)` of every
+    /// transaction that retired since the engine last drained. A core
+    /// parked on a memory stall re-ticks when the port it waits on
+    /// appears here — that port's retirement is the only event that can
+    /// make its retry succeed.
+    wake_feed: Option<Vec<(usize, Port)>>,
     /// Cycle-stamped transition log; `None` (the default) records nothing
     /// and costs nothing.
     events: Option<Vec<MemEventRecord>>,
@@ -331,7 +324,7 @@ impl MemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: BinaryHeap::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            retire_cal: RetireCalendar::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
             pending_stores_dirty: false,
             wake_feed: None,
             events: None,
@@ -366,10 +359,10 @@ impl MemorySystem {
         self.wake_feed = Some(Vec::with_capacity(n_cores * PORT_COUNT));
     }
 
-    /// Core ids whose transactions retired since the last
-    /// [`MemorySystem::clear_wakes`] (duplicates possible — one entry per
-    /// retirement).
-    pub fn wakes(&self) -> &[usize] {
+    /// The `(core, port)` of every transaction that retired since the
+    /// last [`MemorySystem::clear_wakes`], in retirement order (one entry
+    /// per retirement).
+    pub fn wakes(&self) -> &[(usize, Port)] {
         self.wake_feed.as_deref().unwrap_or(&[])
     }
 
@@ -381,9 +374,9 @@ impl MemorySystem {
     }
 
     #[inline]
-    fn push_wake(&mut self, core: usize) {
+    fn push_wake(&mut self, core: usize, port: Port) {
         if let Some(feed) = &mut self.wake_feed {
-            feed.push(core);
+            feed.push((core, port));
         }
     }
 
@@ -469,19 +462,14 @@ impl MemorySystem {
         self.stats.cycles += 1;
 
         // 1. Retire in-service transactions that are done: pop exactly
-        // the due entries off the retirement calendar (min-ordered, so
-        // ties retire in the same `(core, port)` order the old full port
-        // scan produced). `next_retire` is the calendar's minimum, so
-        // cycles with nothing to retire cost one comparison.
+        // the due entries off the retirement calendar (ties retire in the
+        // same `(core, port)` order the old full port scan produced).
+        // `next_retire` is the calendar's minimum, so cycles with nothing
+        // to retire cost one comparison.
         if self.in_service > 0 && self.next_retire <= self.cycle {
-            while let Some(&Reverse((done_at, core, port_idx))) = self.retire_cal.peek() {
-                if done_at > self.cycle {
-                    break;
-                }
-                self.retire_cal.pop();
-                let core = core as usize;
-                let port = Port::ALL[port_idx as usize];
-                let txn = self.ports[core][port_idx as usize]
+            while let Some((done_at, core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
+                let port = Port::ALL[port_idx];
+                let txn = self.ports[core][port_idx]
                     .as_mut()
                     .expect("calendar entry without a transaction");
                 debug_assert_eq!(txn.state, TxnState::InService { done_at });
@@ -496,19 +484,16 @@ impl MemorySystem {
                         remove_one(&mut self.pending_header_stores, addr);
                         self.pending_stores_dirty = true;
                     }
-                    self.ports[core][port_idx as usize] = None;
+                    self.ports[core][port_idx] = None;
                     self.occupied -= 1;
                 }
                 self.log(MemEvent::Retire {
                     core: core as u32,
                     port,
                 });
-                self.push_wake(core);
+                self.push_wake(core, port);
             }
-            self.next_retire = match self.retire_cal.peek() {
-                Some(&Reverse((done_at, _, _))) => done_at,
-                None => u64::MAX,
-            };
+            self.next_retire = self.retire_cal.next_at();
         }
 
         // 2. Unblock header loads (comparator array re-check). A blocked
@@ -580,7 +565,7 @@ impl MemorySystem {
                         core: core as u32,
                         port,
                     });
-                    self.push_wake(core);
+                    self.push_wake(core, port);
                     continue;
                 }
                 let done_at = self.cycle + latency as u64;
@@ -590,8 +575,7 @@ impl MemorySystem {
                 debug_assert_eq!(txn.state, TxnState::Queued);
                 txn.state = TxnState::InService { done_at };
                 self.in_service += 1;
-                self.retire_cal
-                    .push(Reverse((done_at, core as u32, port as u8)));
+                self.retire_cal.push(done_at, core, port as usize);
                 self.next_retire = self.next_retire.min(done_at);
             }
         }
@@ -1004,9 +988,9 @@ impl MemorySystem {
             self.last_body_addr[patch.core][1] = patch.last_store_addr;
         }
         // The calendar still holds entries for the transactions the
-        // window consumed (a binary heap cannot remove), so rebuild it
-        // from the port buffers — bounded by the buffer count, and the
-        // `(done_at, core, port)` ordering is restored by construction.
+        // window consumed, so rebuild it from the port buffers — bounded
+        // by the buffer count, and the `(done_at, core, port)` ordering
+        // is restored by construction.
         self.retire_cal.clear();
         for (core, ports) in self.ports.iter().enumerate() {
             for (port_idx, txn) in ports.iter().enumerate() {
@@ -1015,15 +999,11 @@ impl MemorySystem {
                     ..
                 }) = txn
                 {
-                    self.retire_cal
-                        .push(Reverse((*done_at, core as u32, port_idx as u8)));
+                    self.retire_cal.push(*done_at, core, port_idx);
                 }
             }
         }
-        self.next_retire = match self.retire_cal.peek() {
-            Some(&Reverse((done_at, _, _))) => done_at,
-            None => u64::MAX,
-        };
+        self.next_retire = self.retire_cal.next_at();
     }
 }
 
@@ -1445,7 +1425,7 @@ mod tests {
         m.tick();
         m.tick();
         m.tick(); // cycle 4: both retire
-        assert_eq!(m.wakes(), &[0, 1]);
+        assert_eq!(m.wakes(), &[(0, Port::BodyLoad), (1, Port::BodyStore)]);
         m.clear_wakes();
         assert!(m.wakes().is_empty());
         m.consume_load(0, Port::BodyLoad);
@@ -1462,11 +1442,11 @@ mod tests {
         for _ in 0..4 {
             m.tick();
         }
-        assert_eq!(m.wakes(), &[0]);
+        assert_eq!(m.wakes(), &[(0, Port::BodyStore)]);
         m.clear_wakes();
         assert!(m.try_issue(0, Port::BodyStore, 101));
         m.tick(); // burst continuation: latency 0, retires at service start
-        assert_eq!(m.wakes(), &[0]);
+        assert_eq!(m.wakes(), &[(0, Port::BodyStore)]);
         assert!(m.all_idle());
     }
 
@@ -1865,17 +1845,17 @@ mod window_tests {
         // (cycle 4, which also unblocks and serves core 0's header
         // load), then the patched-in body load (cycle 9), with wakes.
         m.tick();
-        assert_eq!(m.wakes(), &[1]);
+        assert_eq!(m.wakes(), &[(1, Port::HeaderStore)]);
         m.clear_wakes();
         for _ in 0..3 {
             m.tick(); // header load: service at 4, retires at 7
         }
-        assert_eq!(m.wakes(), &[0]);
+        assert_eq!(m.wakes(), &[(0, Port::HeaderLoad)]);
         m.clear_wakes();
         assert_eq!(m.consume_load(0, Port::HeaderLoad), 50);
         m.tick();
         m.tick(); // cycle 9: the patched-in body load retires
-        assert_eq!(m.wakes(), &[0]);
+        assert_eq!(m.wakes(), &[(0, Port::BodyLoad)]);
         assert!(m.load_ready(0, Port::BodyLoad));
         assert_eq!(m.consume_load(0, Port::BodyLoad), 101);
     }

@@ -14,10 +14,11 @@
 //!    within a bank consecutive service starts are separated by the
 //!    earlier access's full occupancy (one access in flight per bank,
 //!    plus the closed-page precharge re-arm).
-//! 3. **Wake completeness** — with the wake feed on, every core whose
-//!    load became ready or whose store freed its buffer in a tick
-//!    appears in that tick's `wakes()` (shadow comparison against
-//!    polling, the naive engine's view).
+//! 3. **Wake completeness** — with the wake feed on, every `(core,
+//!    port)` whose load became ready or whose store freed its buffer in
+//!    a tick appears in that tick's `wakes()` (shadow comparison against
+//!    polling, the naive engine's view) — the port too, because a parked
+//!    core wakes only on the port its retry waits on.
 
 use hwgc_memsim::{
     DramConfig, DramMemorySystem, MemBackend, MemBackendKind, MemConfig, MemEvent, MemorySystem,
@@ -285,8 +286,8 @@ proptest! {
 
 /// Shadow-naive comparison: before each tick poll the full visible
 /// state (as the naive engine would); after it, every improvement —
-/// a load turning ready, a busy port freeing — must have its owner in
-/// `wakes()`. A parked core relies on exactly this to resume.
+/// a load turning ready, a busy port freeing — must have its `(core,
+/// port)` in `wakes()`. A parked core relies on exactly this to resume.
 fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
     m.enable_wake_feed(CORES);
     let mut script = ops.clone();
@@ -308,19 +309,20 @@ fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
             m.clear_wakes();
             m.tick();
             for (c, ports) in before.iter().enumerate() {
-                let improved = Port::ALL.iter().enumerate().any(|(i, &p)| {
+                for (i, &p) in Port::ALL.iter().enumerate() {
                     let (was_ready, was_busy) = ports[i];
                     let now_ready = p.is_load() && m.load_ready(c, p);
                     let now_busy = m.port_busy(c, p);
-                    (now_ready && !was_ready) || (was_busy && !now_busy)
-                });
-                if improved {
-                    prop_assert!(
-                        m.wakes().contains(&c),
-                        "core {}'s state improved but the wake feed missed it (wakes: {:?})",
-                        c,
-                        m.wakes()
-                    );
+                    if (now_ready && !was_ready) || (was_busy && !now_busy) {
+                        prop_assert!(
+                            m.wakes().contains(&(c, p)),
+                            "core {}'s {:?} port improved but the wake feed missed it \
+                             (wakes: {:?})",
+                            c,
+                            p,
+                            m.wakes()
+                        );
+                    }
                 }
             }
         } else {

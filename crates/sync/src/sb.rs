@@ -681,9 +681,8 @@ impl SyncBlock {
     /// Park `core` until the header lock on `addr` is released.
     pub fn park_on_header(&mut self, core: usize, addr: u32) {
         let w = self.wake.as_mut().expect("wake tracking off");
-        if w.header[core].replace(addr).is_none() {
-            w.header_n += 1;
-        }
+        w.header[core] = addr;
+        w.header_parked |= 1u64 << core;
     }
 
     /// Park `core` in the empty-worklist spin: woken when `free` moves or
@@ -701,9 +700,7 @@ impl SyncBlock {
         if let Some(w) = &mut self.wake {
             w.scan_release &= !(1u64 << core);
             w.empty &= !(1u64 << core);
-            if w.header[core].take().is_some() {
-                w.header_n -= 1;
-            }
+            w.header_parked &= !(1u64 << core);
         }
     }
 
@@ -735,10 +732,12 @@ struct WakeLists {
     scan_release: u64,
     /// Cores parked in the empty-worklist spin (bitmask).
     empty: u64,
-    /// Per-core header address the core is parked on.
-    header: Vec<Option<u32>>,
-    /// Number of `Some` entries in `header` (skip the scan when zero).
-    header_n: usize,
+    /// Cores parked on a header lock (bitmask); each one's address is
+    /// in `header`.
+    header_parked: u64,
+    /// Per-core header address the core is parked on (meaningful only
+    /// for the cores in `header_parked`).
+    header: Vec<u32>,
     /// Cores woken since the engine last drained, in wake order.
     woken: Vec<usize>,
 }
@@ -749,8 +748,8 @@ impl WakeLists {
         WakeLists {
             scan_release: 0,
             empty: 0,
-            header: vec![None; n_cores],
-            header_n: 0,
+            header_parked: 0,
+            header: vec![0; n_cores],
             woken: Vec::with_capacity(n_cores),
         }
     }
@@ -775,13 +774,12 @@ impl WakeLists {
     }
 
     fn wake_header(&mut self, addr: u32) {
-        if self.header_n == 0 {
-            return;
-        }
-        for c in 0..self.header.len() {
-            if self.header[c] == Some(addr) {
-                self.header[c] = None;
-                self.header_n -= 1;
+        let mut rem = self.header_parked;
+        while rem != 0 {
+            let c = rem.trailing_zeros() as usize;
+            rem &= rem - 1;
+            if self.header[c] == addr {
+                self.header_parked &= !(1u64 << c);
                 self.woken.push(c);
             }
         }
