@@ -31,47 +31,38 @@
 //!   the event bus attached and export the Chrome/Perfetto trace and the
 //!   metrics snapshot. The probed run is *not* timed; every measured
 //!   combo keeps the zero-overhead `NullProbe` path,
-//! * `--trajectory` / `--pr` — measure every trajectory series (the
-//!   fig6 1-core baseline, the fig6 16-core sweep point since PR 5,
-//!   and the 16-core par-engine leg since PR 7) once more and append
-//!   `{pr, cycles, wall_s}` to each series in the per-PR trajectory
-//!   file (the committed `BENCH_trajectory.json`). Idempotent per PR:
-//!   an existing entry for the same PR number is replaced, so
-//!   re-running before merge never duplicates rows. `cycles` is
-//!   deterministic; the wall clock is the recording host's and is kept
-//!   for order-of-magnitude context only,
-//! * `--check-trajectory` / `--pr` — staleness gate for CI: every
+//! * `--trajectory` / `--pr` — measure every live trajectory series (the
+//!   fig6 1-core baseline and the fig6 16-core sweep point) once more and append `{pr, cycles, wall_s}` to each series in the
+//!   per-PR trajectory file (the committed `BENCH_trajectory.json`).
+//!   Idempotent per PR: an existing entry for the same PR number is
+//!   replaced, so re-running before merge never duplicates rows.
+//!   `cycles` is deterministic; the wall clock is the recording host's
+//!   and is kept for order-of-magnitude context only. Series the file
+//!   carries beyond the live ones are preserved untouched,
+//! * `--check-trajectory` / `--pr` — staleness gate for CI: every live
 //!   series in the committed trajectory file must already carry an
 //!   entry for the current PR (the one `--trajectory` would have
 //!   appended); any missing series exits 1. This is what makes
 //!   "forgot to re-run `--trajectory` before merging" a red build
-//!   instead of a silently flat line.
+//!   instead of a silently flat line. A series whose header carries
+//!   `"retired_at": N` is history: it is not gated, and it must carry
+//!   no entry at or after PR `N` (the fig6-16c-par series of the
+//!   deleted window engine is kept this way). Any other series in the
+//!   file is live, so ending a series takes an explicit marker.
 //!
 //! The report also carries `engine_speedup_1c` / `engine_speedup_16c`:
-//! the wall-clock ratio of the fully naive per-cycle loop (sparse engine
-//! and fast-forward both off) to the default engine on the Figure 6
+//! the wall-clock ratio of the reference engine (the per-cycle loop,
+//! `EngineKind::Reference`) to the default fast engine on the Figure 6
 //! configuration (+20 cycles memory latency, javac) at 1 and 16 cores,
 //! asserted bit-exact (identical `GcStats`) before the ratio is taken.
-//! The 16-core number is the one the sparse active-set engine exists
+//! The 16-core number is the one the sparse active-set loop exists
 //! for: at high core counts global quiescence almost never holds, so
-//! the PR 2 fast-forward alone degenerates to the naive loop there.
-//!
-//! Since PR 7 the report also carries a `host_scaling` section: the
-//! par engine (`EngineKind::Par`) on the two window-rich 16-core
-//! configurations, timed at `host_threads = 1` and at auto (one worker
-//! per available host core), with the sparse engine's wall clock
-//! alongside as the overhead reference and bit-exactness of all three
-//! asserted first. `--check` gates both legs' throughput against the
-//! committed baseline with the same [`CHECK_RATIO`] floor, so a
-//! regression in either the single-thread window path or the pool
-//! handshake fails CI. On a single-core host the two legs coincide —
-//! the committed baseline records that honestly rather than a scaling
-//! number this container cannot produce.
+//! fast-forward alone degenerates to the naive loop there.
 //!
 //! Since PR 8 the binary also writes two companions next to `--out`:
 //! `BENCH_hostprof.json` — the `hwgc-hostprof-v1` self-profile of an
-//! extra untimed compress/16c par-engine run (the timed matrix always
-//! keeps the zero-overhead `NullHostProf` path) — and
+//! extra untimed compress/16c run (the timed matrix always keeps the
+//! zero-overhead `NullHostProf` path) — and
 //! `BENCH_ledger.jsonl` — one `hwgc-ledger-v1` provenance record per
 //! profiled run, deterministic efficacy counters split from the
 //! quarantined `host_*` wall-clock fields.
@@ -199,19 +190,17 @@ fn measure_combo(preset: Preset, cores: usize) -> ComboResult {
     best.expect("REPS >= 1")
 }
 
-/// Wall-clock ratio of the fully naive per-cycle loop (sparse engine and
-/// fast-forward both off) to the default engine on the Figure 6
-/// configuration, with bit-exactness asserted first.
+/// Wall-clock ratio of the reference engine (the per-cycle loop) to the
+/// default fast engine on the Figure 6 configuration, with bit-exactness
+/// asserted first.
 fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
     let base = GcConfig {
         n_cores: cores,
         mem: MemConfig::default().with_extra_latency(20),
-        sparse: true,
         ..GcConfig::default()
     };
     let naive_cfg = GcConfig {
-        sparse: false,
-        fast_forward: false,
+        engine: EngineKind::Reference,
         ..base
     };
     // Warm up and check bit-exactness once.
@@ -233,83 +222,15 @@ fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
     naive_s / fast_s.max(1e-9)
 }
 
-/// The `host_scaling` configurations: the two window-rich 16-core
-/// regimes under the Figure 6 memory model. javac is the paper's
-/// headline workload (and, honestly, fires essentially no windows at 16
-/// cores — its copy streams never all park together); compress is the
-/// window-dense one where the par engine's planner actually runs.
-const HOST_SCALING: &[(&str, Preset, usize)] = &[
+/// The configurations profiled into the `BENCH_hostprof.json` and
+/// `BENCH_ledger.jsonl` companions: the two 16-core regimes under the
+/// Figure 6 memory model — javac, the paper's headline workload, and
+/// compress, whose long copy streams keep every core parked on body
+/// loads most of the time.
+const PROFILED: &[(&str, Preset, usize)] = &[
     ("fig6-16c", Preset::Javac, 16),
     ("compress-16c", Preset::Compress, 16),
 ];
-
-struct HostScalingRow {
-    config: &'static str,
-    workload: &'static str,
-    cores: usize,
-    host_threads_max: usize,
-    cycles: u64,
-    sparse_wall_s: f64,
-    wall_s_ht1: f64,
-    wall_s_htmax: f64,
-}
-
-/// Time the par engine at `host_threads = 1` and at auto (one worker per
-/// available host core) against the sparse engine on each
-/// [`HOST_SCALING`] configuration, asserting all three bit-exact first.
-/// Reps are interleaved round-robin so slow host drift hits every leg
-/// equally instead of biasing whichever ran last.
-fn measure_host_scaling() -> Vec<HostScalingRow> {
-    HOST_SCALING
-        .iter()
-        .map(|&(config, preset, cores)| {
-            let sparse_cfg = GcConfig {
-                n_cores: cores,
-                mem: MemConfig::default().with_extra_latency(20),
-                sparse: true,
-                engine: Some(EngineKind::Sparse),
-                ..GcConfig::default()
-            };
-            let ht1 = GcConfig {
-                engine: Some(EngineKind::Par),
-                host_threads: 1,
-                ..sparse_cfg
-            };
-            let htmax = GcConfig {
-                host_threads: 0,
-                ..ht1
-            };
-            let (sparse_out, mut sparse_w, _) = timed_collect(preset, sparse_cfg);
-            let (p1, mut w1, _) = timed_collect(preset, ht1);
-            let (pm, mut wm, _) = timed_collect(preset, htmax);
-            assert_eq!(
-                p1.stats, sparse_out.stats,
-                "par (1 host thread) diverged from sparse on {config}"
-            );
-            assert_eq!(
-                pm.stats, sparse_out.stats,
-                "par (auto host threads) diverged from sparse on {config}"
-            );
-            for _ in 1..REPS {
-                sparse_w = sparse_w.min(timed_collect(preset, sparse_cfg).1);
-                w1 = w1.min(timed_collect(preset, ht1).1);
-                wm = wm.min(timed_collect(preset, htmax).1);
-            }
-            HostScalingRow {
-                config,
-                workload: preset.name(),
-                cores,
-                host_threads_max: std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                cycles: sparse_out.stats.total_cycles,
-                sparse_wall_s: sparse_w,
-                wall_s_ht1: w1,
-                wall_s_htmax: wm,
-            }
-        })
-        .collect()
-}
 
 /// The reduced sweep every job-layer probe replays: the default-config
 /// `{compress, javac, jlisp} × {1, 4}` sub-matrix. Small enough to keep
@@ -550,7 +471,6 @@ fn render_report(
     combos: &[ComboResult],
     speedup_1c: f64,
     speedup_16c: f64,
-    host_scaling: &[HostScalingRow],
     cache_sweep: &CacheSweep,
     sweep_scaling: &SweepScaling,
 ) -> String {
@@ -573,30 +493,6 @@ fn render_report(
             c.wall_s,
             c.cycles as f64 / c.wall_s.max(1e-9),
             c.allocs as f64 / c.cycles.max(1) as f64,
-        );
-    }
-    out.push_str("  ],\n");
-    // `workload` deliberately instead of `preset`: parse_combos keys the
-    // throughput gate on `preset`, and these rows must not join it.
-    out.push_str("  \"host_scaling\": [\n");
-    for (i, h) in host_scaling.iter().enumerate() {
-        let sep = if i + 1 == host_scaling.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"config\": \"{}\", \"workload\": \"{}\", \"cores\": {}, \
-             \"host_threads_max\": {}, \"cycles\": {}, \"sparse_wall_s\": {:.6}, \
-             \"wall_s_ht1\": {:.6}, \"wall_s_htmax\": {:.6}, \
-             \"pool_speedup\": {:.2}, \"par_overhead_vs_sparse\": {:.2}}}{sep}",
-            h.config,
-            h.workload,
-            h.cores,
-            h.host_threads_max,
-            h.cycles,
-            h.sparse_wall_s,
-            h.wall_s_ht1,
-            h.wall_s_htmax,
-            h.wall_s_ht1 / h.wall_s_htmax.max(1e-9),
-            h.wall_s_ht1 / h.sparse_wall_s.max(1e-9),
         );
     }
     out.push_str("  ],\n");
@@ -728,57 +624,31 @@ fn per_core_intersection(reference: &str, measured: &str) -> Vec<(usize, f64, f6
         .collect()
 }
 
-/// Parse the `host_scaling` lines of a report into
-/// `(config, cycles, wall_s_ht1, wall_s_htmax)` rows.
-fn parse_host_scaling(report: &str) -> Vec<(String, f64, f64, f64)> {
-    report
-        .lines()
-        .filter_map(|line| {
-            Some((
-                json_str(line, "config")?.to_string(),
-                json_num(line, "cycles")?,
-                json_num(line, "wall_s_ht1")?,
-                json_num(line, "wall_s_htmax")?,
-            ))
-        })
-        .collect()
-}
-
-/// The per-PR trajectory series: `(name, config description, cores,
-/// engine pin)`. All run javac under the Figure 6 memory model (+20
-/// cycles per access). The 1-core series is the figure's normalization
-/// baseline and goes back to PR 4; the 16-core series (added in PR 5
-/// with the sparse engine) tracks the regime the paper's headline
-/// numbers live in; the par series (added in PR 7) pins the window
-/// engine at one host thread so its coordinator path is comparable
-/// across recording hosts. `None` runs whatever the unpinned default
-/// resolves to — which is the point of the 1-core series: it records
-/// engine-selection wins (e.g. PR 7's naive-at-1-core heuristic) as
-/// wall-clock drops on an unchanged cycle count.
-const TRAJECTORY_SERIES: &[(&str, &str, usize, Option<EngineKind>)] = &[
+/// The live per-PR trajectory series: `(name, config description,
+/// cores)`. Both run javac under the Figure 6 memory model (+20 cycles
+/// per access) on the default engine. The 1-core series is the figure's
+/// normalization baseline; the 16-core series tracks the regime the
+/// paper's headline numbers live in. The default engine is the point:
+/// engine selection wins (such as running the naive loop at one core)
+/// show up as wall-clock drops on an unchanged cycle count.
+const TRAJECTORY_SERIES: &[(&str, &str, usize)] = &[
     (
         "fig6-1c",
         "javac, 1 core, +20 cycles memory latency (fig6 baseline)",
         1,
-        None,
     ),
     (
         "fig6-16c",
         "javac, 16 cores, +20 cycles memory latency (fig6 sweep point)",
         16,
-        None,
-    ),
-    (
-        "fig6-16c-par",
-        "javac, 16 cores, +20 cycles memory latency, par engine, 1 host thread",
-        16,
-        Some(EngineKind::Par),
     ),
 ];
 
 struct TrajectorySeries {
     name: String,
     config: String,
+    /// The PR that stopped measuring this series, if it is history.
+    retired_at: Option<u64>,
     entries: Vec<(u64, u64, f64)>,
 }
 
@@ -792,6 +662,7 @@ fn parse_trajectory(text: &str) -> Vec<TrajectorySeries> {
             series.push(TrajectorySeries {
                 name: name.to_string(),
                 config: json_str(line, "config").unwrap_or_default().to_string(),
+                retired_at: json_num(line, "retired_at").map(|pr| pr as u64),
                 entries: Vec::new(),
             });
         } else if let (Some(pr), Some(cycles), Some(wall_s)) = (
@@ -804,6 +675,7 @@ fn parse_trajectory(text: &str) -> Vec<TrajectorySeries> {
                 series.push(TrajectorySeries {
                     name: TRAJECTORY_SERIES[0].0.to_string(),
                     config: TRAJECTORY_SERIES[0].1.to_string(),
+                    retired_at: None,
                     entries: Vec::new(),
                 });
             }
@@ -823,9 +695,13 @@ fn render_trajectory(series: &[TrajectorySeries]) -> String {
     out.push_str("  \"schema\": \"hwgc-bench-trajectory-v2\",\n");
     out.push_str("  \"series\": [\n");
     for (si, s) in series.iter().enumerate() {
+        let retired = s
+            .retired_at
+            .map(|pr| format!("\"retired_at\": {pr}, "))
+            .unwrap_or_default();
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"config\": \"{}\", \"entries\": [",
+            "    {{\"name\": \"{}\", \"config\": \"{}\", {retired}\"entries\": [",
             s.name, s.config
         );
         for (i, (pr, cycles, wall_s)) in s.entries.iter().enumerate() {
@@ -842,23 +718,17 @@ fn render_trajectory(series: &[TrajectorySeries]) -> String {
     out
 }
 
-/// Measure every trajectory series and append (or replace) this PR's
-/// entry in each, preserving series the file has that this binary no
-/// longer measures.
+/// Measure every live trajectory series and append (or replace) this
+/// PR's entry in each, preserving the series the file has that this
+/// binary no longer measures.
 fn append_trajectory(path: &str, pr: u64) {
     let mut series = std::fs::read_to_string(path)
         .map(|t| parse_trajectory(&t))
         .unwrap_or_default();
-    for &(name, config, cores, engine) in TRAJECTORY_SERIES {
+    for &(name, config, cores) in TRAJECTORY_SERIES {
         let cfg = GcConfig {
             n_cores: cores,
             mem: MemConfig::default().with_extra_latency(20),
-            engine: engine.or(GcConfig::default().engine),
-            host_threads: if engine == Some(EngineKind::Par) {
-                1
-            } else {
-                0
-            },
             ..GcConfig::default()
         };
         let (mut cycles, mut wall_s) = (0, f64::INFINITY);
@@ -873,6 +743,7 @@ fn append_trajectory(path: &str, pr: u64) {
                 series.push(TrajectorySeries {
                     name: name.to_string(),
                     config: config.to_string(),
+                    retired_at: None,
                     entries: Vec::new(),
                 });
                 series.last_mut().expect("just pushed")
@@ -890,32 +761,60 @@ fn append_trajectory(path: &str, pr: u64) {
         .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
-/// Staleness gate for `--check-trajectory`: every series this binary
-/// measures must already carry an entry for the current PR, i.e. someone
-/// ran `--trajectory <path> --pr <N>` and committed the result. Exits 1
-/// listing the stale series otherwise. Series the file carries beyond
-/// [`TRAJECTORY_SERIES`] are historical and not gated.
-fn check_trajectory(path: &str, pr: u64) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let series = parse_trajectory(&text);
-    let mut stale = Vec::new();
-    for &(name, _, _, _) in TRAJECTORY_SERIES {
-        match series
-            .iter()
-            .find(|s| s.name == name)
-            .and_then(|s| s.entries.iter().find(|(p, _, _)| *p == pr))
-        {
-            Some((_, cycles, _)) => {
-                println!("[trajectory-check] {name}: pr {pr} present ({cycles} cycles)");
-            }
-            None => stale.push(name),
+/// What `--check-trajectory` finds wrong with a trajectory file at PR
+/// `pr`, one line per problem (empty when the file is current):
+///
+/// * a live series — every [`TRAJECTORY_SERIES`] entry and every series
+///   in the file without a `retired_at` marker — that carries no entry
+///   for `pr`;
+/// * a retired series that gained an entry at or after its retirement.
+fn trajectory_problems(text: &str, pr: u64) -> Vec<String> {
+    let series = parse_trajectory(text);
+    let mut problems = Vec::new();
+    for &(name, _, _) in TRAJECTORY_SERIES {
+        if !series.iter().any(|s| s.name == name) {
+            problems.push(format!("live series {name} is missing"));
         }
     }
-    if !stale.is_empty() {
+    for s in &series {
+        match s.retired_at {
+            Some(retired) => {
+                if let Some((p, _, _)) = s.entries.iter().find(|(p, _, _)| *p >= retired) {
+                    problems.push(format!(
+                        "series {} retired at PR {retired} but carries an entry for PR {p}",
+                        s.name
+                    ));
+                }
+            }
+            None => match s.entries.iter().find(|(p, _, _)| *p == pr) {
+                Some((_, cycles, _)) => {
+                    println!(
+                        "[trajectory-check] {}: pr {pr} present ({cycles} cycles)",
+                        s.name
+                    );
+                }
+                None => problems.push(format!(
+                    "live series {} carries no entry for PR {pr}",
+                    s.name
+                )),
+            },
+        }
+    }
+    problems
+}
+
+/// Staleness gate for `--check-trajectory`: exits 1 listing every
+/// problem [`trajectory_problems`] finds.
+fn check_trajectory(path: &str, pr: u64) {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let problems = trajectory_problems(&text, pr);
+    if !problems.is_empty() {
+        for p in &problems {
+            eprintln!("{path}: {p}");
+        }
         eprintln!(
-            "{path} is stale for PR {pr}: series {} carry no entry — run \
-             `bench_baseline --trajectory {path} --pr {pr}` and commit the result",
-            stale.join(", ")
+            "{path} is stale for PR {pr}: run `bench_baseline --trajectory {path} --pr {pr}` \
+             and commit the result"
         );
         std::process::exit(1);
     }
@@ -987,22 +886,6 @@ fn main() {
     let speedup_1c = measure_engine_speedup(Preset::Javac, 1);
     let speedup_16c = measure_engine_speedup(Preset::Javac, 16);
     println!("\nengine speedup vs naive loop (fig6 config, javac): 1c {speedup_1c:.2}x, 16c {speedup_16c:.2}x");
-
-    let host_scaling = measure_host_scaling();
-    println!("\npar engine host-thread scaling (bit-exact vs sparse asserted):");
-    for h in &host_scaling {
-        println!(
-            "  {:>12}: sparse {:>8.3} ms, par@1 {:>8.3} ms, par@auto({}) {:>8.3} ms \
-             — pool speedup {:.2}x, 1-thread overhead {:.2}x",
-            h.config,
-            h.sparse_wall_s * 1e3,
-            h.wall_s_ht1 * 1e3,
-            h.host_threads_max,
-            h.wall_s_htmax * 1e3,
-            h.wall_s_ht1 / h.wall_s_htmax.max(1e-9),
-            h.wall_s_ht1 / h.sparse_wall_s.max(1e-9),
-        );
-    }
 
     let probe_set = scaling_set();
     let cache_sweep = measure_cache_sweep(&probe_set);
@@ -1080,7 +963,6 @@ fn main() {
         &combos,
         speedup_1c,
         speedup_16c,
-        &host_scaling,
         &cache_sweep,
         &sweep_scaling,
     );
@@ -1088,10 +970,10 @@ fn main() {
     println!("[json] {out_path}");
 
     // Host-profile and run-ledger companions next to the report: one
-    // extra untimed run per host_scaling config with the HostProfiler
+    // extra untimed run per PROFILED config with the HostProfiler
     // attached (never the timed matrix — profiling the profiler would
     // poison the throughput numbers). The hostprof dump records the
-    // window-rich compress/16c run. The ledger is maintained through the
+    // compress/16c run. The ledger is maintained through the
     // store, not blind append: this run's fresh records are merged with
     // the file's existing ones (fresh wins a digest conflict, with the
     // drift reported — the file is being regenerated) and the result is
@@ -1103,13 +985,10 @@ fn main() {
     let hostprof_path = out_dir.join("BENCH_hostprof.json");
     let ledger_path = out_dir.join("BENCH_ledger.jsonl");
     let mut store = LedgerStore::new();
-    for &(config, preset, cores) in HOST_SCALING {
+    for &(config, preset, cores) in PROFILED {
         let cfg = GcConfig {
             n_cores: cores,
             mem: MemConfig::default().with_extra_latency(20),
-            sparse: true,
-            engine: Some(EngineKind::Par),
-            host_threads: 1,
             ..GcConfig::default()
         };
         let (run, prof) = hwgc_bench::run_hostprof(&spec(preset), cfg);
@@ -1185,33 +1064,77 @@ fn main() {
                 failed = true;
             }
         }
-        // The same floor on both par-engine legs of every host_scaling
-        // config the reference also carries, in cycles/second so a host
-        // faster or slower overall still compares honestly per leg.
-        let ref_hs = parse_host_scaling(&reference);
-        for (config, cycles, w1, wmax) in parse_host_scaling(&report) {
-            let Some((_, rc, rw1, rwmax)) = ref_hs.iter().find(|(c, _, _, _)| *c == config) else {
-                continue;
-            };
-            for (leg, mea, reference) in [
-                ("ht1", cycles / w1.max(1e-9), rc / rw1.max(1e-9)),
-                ("htmax", cycles / wmax.max(1e-9), rc / rwmax.max(1e-9)),
-            ] {
-                let ratio = mea / reference;
-                println!(
-                    "  {config} par {leg}: reference {reference:>12.0} c/s, measured \
-                     {mea:>12.0} c/s — {ratio:.2}x vs committed baseline"
-                );
-                if ratio < CHECK_RATIO {
-                    eprintln!(
-                        "  par engine regression on {config} ({leg}): ratio {ratio:.2} < {CHECK_RATIO}"
-                    );
-                    failed = true;
-                }
-            }
-        }
         if failed {
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn file(par_entries: &[u64], retired_at: Option<u64>, live_prs: &[u64]) -> String {
+        let entries = |prs: &[u64]| prs.iter().map(|&pr| (pr, 174_089, 0.02)).collect();
+        let mut series: Vec<TrajectorySeries> = TRAJECTORY_SERIES
+            .iter()
+            .map(|&(name, config, _)| TrajectorySeries {
+                name: name.to_string(),
+                config: config.to_string(),
+                retired_at: None,
+                entries: entries(live_prs),
+            })
+            .collect();
+        series.push(TrajectorySeries {
+            name: "fig6-16c-par".to_string(),
+            config: "javac, 16 cores, par engine".to_string(),
+            retired_at,
+            entries: entries(par_entries),
+        });
+        render_trajectory(&series)
+    }
+
+    #[test]
+    fn retired_marker_round_trips() {
+        let text = file(&[7, 12], Some(13), &[12, 13]);
+        let series = parse_trajectory(&text);
+        assert_eq!(series.len(), TRAJECTORY_SERIES.len() + 1);
+        assert_eq!(series.last().unwrap().retired_at, Some(13));
+        assert!(series[..TRAJECTORY_SERIES.len()]
+            .iter()
+            .all(|s| s.retired_at.is_none()));
+        assert_eq!(render_trajectory(&series), text);
+    }
+
+    #[test]
+    fn retired_series_is_skipped_but_may_not_grow() {
+        // Retired at 13 with history up to 12: not gated at 13 or later.
+        assert!(trajectory_problems(&file(&[7, 12], Some(13), &[13]), 13).is_empty());
+        assert!(trajectory_problems(&file(&[7, 12], Some(13), &[14]), 14).is_empty());
+        // An entry at or after the retirement PR fails.
+        for late in [13, 14] {
+            let problems = trajectory_problems(&file(&[12, late], Some(13), &[14]), 14);
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains("retired at"), "{problems:?}");
+        }
+    }
+
+    #[test]
+    fn live_series_must_carry_the_current_pr() {
+        // Every live series lacks an entry for 13.
+        let problems = trajectory_problems(&file(&[12], Some(13), &[12]), 13);
+        assert_eq!(problems.len(), TRAJECTORY_SERIES.len(), "{problems:?}");
+        // Without the marker the old series is live too, so it is gated.
+        let problems = trajectory_problems(&file(&[12], None, &[13]), 13);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("fig6-16c-par"), "{problems:?}");
+        // A live series missing from the file altogether fails.
+        let only_old = render_trajectory(
+            &parse_trajectory(&file(&[13], None, &[13]))[TRAJECTORY_SERIES.len()..],
+        );
+        assert_eq!(
+            trajectory_problems(&only_old, 13).len(),
+            TRAJECTORY_SERIES.len()
+        );
     }
 }

@@ -1,34 +1,29 @@
-//! CI parity smoke for the sparse active-set engine: runs a preset ×
-//! core-count × memory-latency matrix twice — sparse engine forced on,
-//! then the fully naive per-cycle loop (sparse and fast-forward off) —
-//! and requires bit-identical `GcStats` and allocation frontier on every
+//! CI parity smoke for the fast engine: runs a preset × core-count ×
+//! memory-latency matrix twice — `EngineKind::Fast` (the sparse
+//! active-set loop at 4 and 16 cores, the naive loop with fast-forward at
+//! 1 core), then `EngineKind::Reference` (the per-cycle loop) — and
+//! requires bit-identical `GcStats` and allocation frontier on every
 //! combo, plus identical cycle-stamped SB event streams on a traced
 //! sub-matrix. A machine-parseable parity report (one JSON line per
 //! combo, with both wall clocks and the resulting speedup) is written
 //! for upload.
 //!
 //! ```text
-//! sparse_smoke [--out <path>] [--expect-default <on|off>]
-//!              [--expect-backend <fixed|dram>]
+//! sparse_smoke [--out <path>] [--expect-backend <fixed|dram>]
 //! ```
 //!
 //! * `--out` — report path (default `target/sparse_smoke.json`),
-//! * `--expect-default` — assert the `HWGC_SPARSE` escape hatch: the
-//!   process-default `GcConfig` must have the sparse engine in exactly
-//!   this state. CI runs one leg with the variable unset (`on`) and one
-//!   with `HWGC_SPARSE=0` (`off`), so the hatch is exercised end to end.
-//! * `--expect-backend` — assert the `HWGC_MEM_BACKEND` hatch the same
-//!   way: the process-default `MemConfig` must resolve to this memory
-//!   backend.
+//! * `--expect-backend` — assert the `HWGC_MEM_BACKEND` hatch: the
+//!   process-default `MemConfig` must resolve to this memory backend.
+//!   CI runs one leg with the variable unset (`fixed`) and one with
+//!   `HWGC_MEM_BACKEND=dram`, so the hatch is exercised end to end.
 //!
 //! The parity matrix itself carries a backend axis: every preset × cores
 //! combo runs under the fixed-latency backend (both `extra_latency`
 //! regimes) and under two bank/row DRAM backends (open- and closed-page),
-//! each pinned explicitly on both the sparse and the naive side.
-//!
-//! The matrix itself pins `sparse` explicitly on both sides, so parity
-//! coverage is identical in both CI legs; only the default is asserted.
-//! Any divergence prints the combo and exits nonzero.
+//! each pinned explicitly on both the fast and the reference side, so
+//! parity coverage is identical in both CI legs. Any divergence prints
+//! the combo and exits nonzero.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -44,24 +39,21 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn sparse_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
+fn fast_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
     GcConfig {
         n_cores: cores,
         mem: MemConfig::default()
             .with_extra_latency(extra)
             .with_backend(backend),
-        engine: Some(EngineKind::Sparse),
-        sparse: true,
+        engine: EngineKind::Fast,
         ..GcConfig::default()
     }
 }
 
-fn naive_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
+fn reference_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
     GcConfig {
-        engine: Some(EngineKind::Naive),
-        sparse: false,
-        fast_forward: false,
-        ..sparse_config(cores, extra, backend)
+        engine: EngineKind::Reference,
+        ..fast_config(cores, extra, backend)
     }
 }
 
@@ -103,23 +95,6 @@ fn main() {
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "target/sparse_smoke.json".to_string());
 
-    if let Some(expect) = flag_value("--expect-default") {
-        let want = match expect.as_str() {
-            "on" => true,
-            "off" => false,
-            other => fail(&format!("--expect-default takes on|off, got {other:?}")),
-        };
-        let got = GcConfig::default().sparse;
-        if got != want {
-            fail(&format!(
-                "HWGC_SPARSE hatch broken: default sparse is {got}, expected {want} \
-                 (HWGC_SPARSE={:?})",
-                std::env::var("HWGC_SPARSE").ok()
-            ));
-        }
-        println!("sparse_smoke: default sparse = {got} (as expected)");
-    }
-
     if let Some(expect) = flag_value("--expect-backend") {
         let got = MemConfig::default().backend;
         let matches = match expect.as_str() {
@@ -139,12 +114,12 @@ fn main() {
 
     let core_counts = [1usize, 4, 16];
 
-    // The parity grid is one declared matrix over the *sparse* config;
-    // the naive side of every combo is derived from the job. Combos are
+    // The parity grid is one declared matrix over the *fast* config; the
+    // reference side of every combo is derived from the job. Combos are
     // never cached — replaying a recorded result would defeat the
     // engine-parity differential — but they do report to the fleet
     // telemetry stream, so a batch run sees this binary's progress.
-    let set = ConfigMatrix::new(sparse_config(1, 0, MemBackendKind::Fixed))
+    let set = ConfigMatrix::new(fast_config(1, 0, MemBackendKind::Fixed))
         .presets([Preset::Compress, Preset::Javac, Preset::Jlisp])
         .cores(core_counts)
         .backends(backend_axis())
@@ -157,7 +132,7 @@ fn main() {
     let mut first = true;
     println!(
         "{:>10}  {:>5}  {:>11}  {:>6}  {:>12}  {:>10}  {:>10}  {:>8}",
-        "preset", "cores", "backend", "extra", "cycles", "sparse ms", "naive ms", "speedup"
+        "preset", "cores", "backend", "extra", "cycles", "fast ms", "ref ms", "speedup"
     );
     for job in set.jobs() {
         let (preset, cores) = (job.spec.preset, job.cfg.n_cores);
@@ -165,43 +140,41 @@ fn main() {
         let base = job.spec.build();
         let snap = Snapshot::capture(&base);
 
-        let mut sparse_heap = base.clone();
+        let mut fast_heap = base.clone();
         let t = Instant::now();
-        let sparse = SimCollector::new(job.cfg).collect(&mut sparse_heap);
-        let sparse_s = t.elapsed().as_secs_f64();
-        hwgc_heap::verify_collection(&sparse_heap, sparse.free, &snap).unwrap_or_else(|e| {
+        let fast = SimCollector::new(job.cfg).collect(&mut fast_heap);
+        let fast_s = t.elapsed().as_secs_f64();
+        hwgc_heap::verify_collection(&fast_heap, fast.free, &snap).unwrap_or_else(|e| {
             fail(&format!(
-                "{}/{cores}c/{backend_name} +{extra}: sparse run failed \
+                "{}/{cores}c/{backend_name} +{extra}: fast run failed \
                  verification: {e}",
                 preset.name()
             ))
         });
 
-        let mut naive_heap = base;
+        let mut ref_heap = base;
         let t = Instant::now();
-        let naive = SimCollector::new(GcConfig {
-            engine: Some(EngineKind::Naive),
-            sparse: false,
-            fast_forward: false,
+        let reference = SimCollector::new(GcConfig {
+            engine: EngineKind::Reference,
             ..job.cfg
         })
-        .collect(&mut naive_heap);
-        let naive_s = t.elapsed().as_secs_f64();
+        .collect(&mut ref_heap);
+        let ref_s = t.elapsed().as_secs_f64();
 
-        if sparse.stats != naive.stats || sparse.free != naive.free {
+        if fast.stats != reference.stats || fast.free != reference.free {
             fail(&format!(
-                "{}/{cores}c/{backend_name} +{extra}: sparse diverged from naive \
+                "{}/{cores}c/{backend_name} +{extra}: fast diverged from reference \
                  ({} vs {} total cycles)",
                 preset.name(),
-                sparse.stats.total_cycles,
-                naive.stats.total_cycles
+                fast.stats.total_cycles,
+                reference.stats.total_cycles
             ));
         }
         hwgc_bench::append_ledger(&hwgc_bench::ledger_record(
             "sparse_smoke",
             preset.name(),
             &job.cfg,
-            &sparse.stats,
+            &fast.stats,
             None,
             None,
         ));
@@ -209,17 +182,17 @@ fn main() {
         session.progress.job(
             &format!("{}@{cores}c/{backend_name}+{extra}", preset.name()),
             hwgc_obs::JobOutcome::Miss,
-            ((sparse_s + naive_s) * 1e9) as u64,
+            ((fast_s + ref_s) * 1e9) as u64,
         );
 
-        let speedup = naive_s / sparse_s.max(1e-9);
+        let speedup = ref_s / fast_s.max(1e-9);
         println!(
             "{:>10}  {cores:>5}  {backend_name:>11}  {extra:>6}  {:>12}  {:>10.3}  \
              {:>10.3}  {speedup:>7.2}x",
             preset.name(),
-            sparse.stats.total_cycles,
-            sparse_s * 1e3,
-            naive_s * 1e3,
+            fast.stats.total_cycles,
+            fast_s * 1e3,
+            ref_s * 1e3,
         );
         let sep = if first { "" } else { ",\n" };
         first = false;
@@ -227,10 +200,10 @@ fn main() {
             report,
             "{sep}    {{\"preset\": \"{}\", \"cores\": {cores}, \
              \"backend\": \"{backend_name}\", \"extra_latency\": {extra}, \
-             \"cycles\": {}, \"sparse_wall_s\": {sparse_s:.6}, \
-             \"naive_wall_s\": {naive_s:.6}, \"speedup\": {speedup:.2}, \"parity\": true}}",
+             \"cycles\": {}, \"fast_wall_s\": {fast_s:.6}, \
+             \"reference_wall_s\": {ref_s:.6}, \"speedup\": {speedup:.2}, \"parity\": true}}",
             preset.name(),
-            sparse.stats.total_cycles,
+            fast.stats.total_cycles,
         );
     }
     report.push_str("\n  ],\n");
@@ -248,13 +221,13 @@ fn main() {
             let base = WorkloadSpec::new(Preset::Javac, 42).build();
             let mut h1 = base.clone();
             let mut t1 = SignalTrace::with_events(1 << 40);
-            let sparse = SimCollector::new(sparse_config(cores, extra, backend))
+            let fast = SimCollector::new(fast_config(cores, extra, backend))
                 .collect_traced(&mut h1, &mut t1);
             let mut h2 = base;
             let mut t2 = SignalTrace::with_events(1 << 40);
-            let naive = SimCollector::new(naive_config(cores, extra, backend))
+            let reference = SimCollector::new(reference_config(cores, extra, backend))
                 .collect_traced(&mut h2, &mut t2);
-            if sparse.stats != naive.stats {
+            if fast.stats != reference.stats {
                 fail(&format!(
                     "javac/{cores}c/{backend_name} (traced): stats diverged"
                 ));
@@ -276,12 +249,7 @@ fn main() {
         "traced parity: javac at {core_counts:?} cores x {{fixed +20, dram-open}}, \
          event streams identical"
     );
-    let _ = writeln!(report, "  \"traced_combos\": {traced},");
-    let _ = writeln!(
-        report,
-        "  \"default_sparse\": {}",
-        GcConfig::default().sparse
-    );
+    let _ = writeln!(report, "  \"traced_combos\": {traced}");
     report.push_str("}\n");
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

@@ -1,14 +1,11 @@
 //! Golden-file tests for the host profiler's *deterministic* efficacy
-//! counters on the two reference regimes of the par-window engine:
+//! counters on two 16-core regimes of the default engine (the sparse
+//! loop):
 //!
-//! * **compress/16c, +20 latency** — the window-rich configuration (the
-//!   one `par_smoke`'s traced leg fingerprints): the funnel fires, the
-//!   window-length and copy-words histograms fill, and the park/wake
-//!   counters show the copy streams the windows are carved from;
-//! * **javac/16c, +0 latency** — the zero-window configuration: the
-//!   committed golden *is* the quantitative answer to "why does javac
-//!   fire no windows at 16 cores" — every attempt shows up under a
-//!   `win.veto.*` reason instead of `win.fired`.
+//! * **compress/16c, +20 latency** — long copy streams: most parks are
+//!   body loads, and the all-parked jump histogram fills;
+//! * **javac/16c, +0 latency** — the contended regime: header-lock and
+//!   empty-worklist parks dominate and the SB wakes most cores.
 //!
 //! Only [`hwgc_obs::HostProfiler::deterministic_json`] is goldened —
 //! counters and histograms, never timers, notes or spans. If a
@@ -23,23 +20,19 @@
 use std::path::PathBuf;
 
 use hwgc_bench::run_hostprof;
-use hwgc_core::{EngineKind, GcConfig};
+use hwgc_core::{EngineLoop, GcConfig};
 use hwgc_memsim::MemConfig;
 use hwgc_obs::{validate_hostprof_json, Json};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
-fn par_config(extra: u32) -> GcConfig {
-    GcConfig {
+fn config(extra: u32) -> GcConfig {
+    let cfg = GcConfig {
         n_cores: 16,
         mem: MemConfig::default().with_extra_latency(extra),
-        sparse: true,
-        engine: Some(EngineKind::Par),
-        // One host thread and threshold 1 so the dispatch/inline split is
-        // machine-independent and every fired window reaches the pool.
-        host_threads: 1,
-        par_copy_threshold: 1,
         ..GcConfig::default()
-    }
+    };
+    assert_eq!(cfg.effective_engine(), EngineLoop::Sparse);
+    cfg
 }
 
 /// Render the deterministic subset one key per line so golden diffs read
@@ -81,12 +74,12 @@ fn golden(name: &str, actual: &str) {
 }
 
 #[test]
-fn window_rich_compress_counters_match_golden() {
+fn copy_stream_compress_counters_match_golden() {
     let spec = WorkloadSpec::new(Preset::Compress, 42);
-    let (_, prof) = run_hostprof(&spec, par_config(20));
+    let (_, prof) = run_hostprof(&spec, config(20));
     assert!(
-        prof.counter("win.fired") > 0,
-        "compress/16c +20 must fire windows — the golden would be vacuous"
+        prof.counter("engine.park.body_load") > 0,
+        "compress/16c +20 must park on body loads — the golden would be vacuous"
     );
     validate_hostprof_json(&prof.to_json_string()).expect("hostprof JSON validates");
     golden(
@@ -96,17 +89,12 @@ fn window_rich_compress_counters_match_golden() {
 }
 
 #[test]
-fn zero_window_javac_counters_match_golden() {
+fn contended_javac_counters_match_golden() {
     let spec = WorkloadSpec::new(Preset::Javac, 42);
-    let (_, prof) = run_hostprof(&spec, par_config(0));
-    assert_eq!(
-        prof.counter("win.fired"),
-        0,
-        "javac/16c +0 is the zero-window reference regime"
-    );
+    let (_, prof) = run_hostprof(&spec, config(0));
     assert!(
-        prof.counter_prefix_sum("win.veto.") > 0 || prof.counter("win.attempted") == 0,
-        "zero fired windows must be explained by veto counters (or zero attempts)"
+        prof.counter("engine.park.header_lock") > 0,
+        "javac/16c +0 must park on header locks — the golden would be vacuous"
     );
     golden(
         "hostprof_golden_javac16.txt",

@@ -22,7 +22,7 @@ use hwgc_heap::{verify_collection, verify_collection_relaxed, Heap, Snapshot};
 use hwgc_memsim::MemConfig;
 use hwgc_swgc::{Chunked, FineGrained, Packets, SwCollector, WorkStealing};
 
-use crate::par::par_map;
+use hwgc_jobs::par_map;
 
 /// Summary of one differential run.
 #[derive(Debug, Clone)]

@@ -27,7 +27,7 @@ use hwgc_heap::{verify_collection, Heap, Snapshot};
 use hwgc_memsim::MemConfig;
 
 use crate::lint::lint_trace;
-use crate::par::par_map;
+use hwgc_jobs::par_map;
 
 /// Which arbitration policy a sweep combination uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +155,7 @@ pub struct SweepOutcome {
 /// the policy, seed and core count.
 ///
 /// Combinations are independent simulations, so they run on the
-/// [`crate::par`] worker pool (`HWGC_JOBS` workers); the outcome is folded
+/// [`hwgc_jobs::par`] worker pool (`HWGC_JOBS` workers); the outcome is folded
 /// in combination order and therefore identical at any job count.
 pub fn run_sweep(build: &(dyn Fn() -> Heap + Sync), cfg: &SweepConfig) -> SweepOutcome {
     let base = build();

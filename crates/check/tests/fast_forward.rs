@@ -5,29 +5,33 @@
 //! memory and SB counters), the same allocation frontier, and, where the
 //! SB event log is captured, the same cycle-stamped event stream.
 //!
+//! The fast engine runs this loop at one core and above
+//! [`SPARSE_MAX_CORES`]; in between it runs the sparse loop, which has
+//! its own matrix in `tests/sparse.rs`. The core axis is therefore
+//! `{1, SPARSE_MAX_CORES + 1}`: the single-core default and a
+//! multi-core run of the same loop.
+//!
 //! The workload matrix rides the `HWGC_JOBS` worker pool; every pair is
 //! an independent simulation.
 
-use hwgc_check::{graphs, par_map};
-use hwgc_core::{GcConfig, SignalTrace, SimCollector};
+use hwgc_check::graphs;
+use hwgc_core::config::SPARSE_MAX_CORES;
+use hwgc_core::{EngineKind, EngineLoop, GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::Heap;
+use hwgc_jobs::par_map;
 use hwgc_workloads::{Preset, WorkloadSpec};
 
+const CORES: [usize; 2] = [1, SPARSE_MAX_CORES + 1];
+
 fn ff_config(cores: usize) -> GcConfig {
-    // The sparse engine is pinned off on both sides: this differential
-    // isolates the event-horizon fast-forward against the naive loop
-    // (the sparse engine has its own matrix in `tests/sparse.rs`).
-    let cfg = GcConfig {
-        sparse: false,
-        ..GcConfig::with_cores(cores)
-    };
-    assert!(cfg.fast_forward, "fast-forward must be the default");
+    let cfg = GcConfig::with_cores(cores);
+    assert_eq!(cfg.effective_engine(), EngineLoop::FastForward);
     cfg
 }
 
 fn naive_config(cores: usize) -> GcConfig {
     GcConfig {
-        fast_forward: false,
+        engine: EngineKind::Reference,
         ..ff_config(cores)
     }
 }
@@ -36,7 +40,7 @@ fn naive_config(cores: usize) -> GcConfig {
 fn every_preset_is_bit_exact_under_fast_forward() {
     let mut pairs: Vec<(Preset, usize)> = Vec::new();
     for preset in Preset::ALL {
-        for cores in [1usize, 4, 16] {
+        for cores in CORES {
             pairs.push((preset, cores));
         }
     }
@@ -65,7 +69,7 @@ fn every_preset_is_bit_exact_under_fast_forward() {
 fn every_catalog_graph_preserves_the_sb_event_stream() {
     let catalog: Vec<(&'static str, Heap)> = graphs::catalog();
     par_map(&catalog, |_, (name, heap)| {
-        for cores in [1usize, 4, 16] {
+        for cores in CORES {
             let mut fast_heap = heap.clone();
             let mut naive_heap = heap.clone();
             // Event capture forces k = 0 whenever a skipped window would

@@ -1,21 +1,24 @@
-//! Differential matrix for the sparse active-set engine (the PR 5
-//! acceptance contract): on every workload preset × {1, 4, 16} cores,
-//! and on every adversarial graph in the catalog, the sparse engine must
-//! report *exactly* what the naive per-cycle loop reports — the same
-//! `GcStats` (total cycles, per-core stall attribution, memory and SB
-//! counters), the same allocation frontier, the same cycle-stamped SB
-//! event stream and trace rows, and the same probe-bus recording —
+//! Differential matrix for the fast engine's sparse active-set loop: on
+//! every workload preset × {1, 4, 16} cores, and on every adversarial
+//! graph in the catalog, the fast engine must report *exactly* what the
+//! reference per-cycle loop reports — the same `GcStats` (total cycles,
+//! per-core stall attribution, memory and SB counters), the same
+//! allocation frontier, the same cycle-stamped SB event stream and trace
+//! rows, and the same probe-bus recording —
 //! including under schedule policies, which the sparse engine composes
 //! with (unlike the PR 2 fast-forward, which they suppress).
 //!
-//! The matrix rides the `HWGC_JOBS` worker pool; every pair is an
-//! independent simulation. `sparse: true` is explicit everywhere so the
-//! differential still bites when CI exports `HWGC_SPARSE=0`.
+//! At 4 and 16 cores the fast engine is the sparse loop; at 1 core it is
+//! the naive loop with fast-forward (the sparse loop's bookkeeping does
+//! not pay for itself there), so the 1-core legs differential that loop
+//! instead. The matrix rides the `HWGC_JOBS` worker pool; every pair is
+//! an independent simulation.
 
-use hwgc_check::{graphs, par_map};
+use hwgc_check::graphs;
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
 use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::Heap;
+use hwgc_jobs::par_map;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use hwgc_obs::Recorder;
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -23,20 +26,14 @@ use hwgc_workloads::{Preset, WorkloadSpec};
 fn sparse_config(cores: usize, extra: u32) -> GcConfig {
     GcConfig {
         mem: MemConfig::default().with_extra_latency(extra),
-        // Pinned: the unpinned default auto-selects the naive loop at a
-        // single core (see `GcConfig::effective_engine`), which would
-        // quietly turn the 1-core legs into naive-vs-naive.
-        engine: Some(EngineKind::Sparse),
-        sparse: true,
+        engine: EngineKind::Fast,
         ..GcConfig::with_cores(cores)
     }
 }
 
 fn naive_config(cores: usize, extra: u32) -> GcConfig {
     GcConfig {
-        engine: Some(EngineKind::Naive),
-        sparse: false,
-        fast_forward: false,
+        engine: EngineKind::Reference,
         ..sparse_config(cores, extra)
     }
 }

@@ -39,96 +39,51 @@ pub struct GcConfig {
     /// unchanged — claim and evacuation atomicity still rely on them.
     /// Not a paper configuration; used to validate the what-if predictor.
     pub multiport_sb: bool,
-    /// Event-horizon fast-forward (default on): when every core is
-    /// stalled on in-flight memory transactions and nothing else can
-    /// change, the engine jumps to the next memory completion in one step
-    /// instead of ticking every dead cycle. Bit-exact — identical
-    /// `GcStats`, SB event stamps and trace rows — and automatically
-    /// suppressed whenever a schedule policy, a mutator or tracing could
-    /// observe the skipped cycles. `false` forces the naive per-cycle
-    /// loop (the differential tests compare both).
-    pub fast_forward: bool,
-    /// Sparse active-set engine (default on, `HWGC_SPARSE=0` in the
-    /// environment flips the default off): cores whose next retry provably
-    /// fails park on per-resource wake conditions — SB lock releases,
-    /// memory retirements, or a computed wake cycle — and the clock jumps
-    /// to the earliest wake instead of ticking every core every cycle.
-    /// Per-cycle work becomes O(runnable) instead of O(n_cores). Bit-exact
-    /// — identical `GcStats`, SB event stamps and trace rows, including
-    /// under schedule policies — and automatically suppressed when a
-    /// mutator runs (its ticks observe every cycle). `false` forces the
-    /// naive per-cycle loop (the differential tests compare both).
-    pub sparse: bool,
-    /// Engine selection override. `None` (the default) derives the
-    /// engine from the legacy `sparse` flag — [`EngineKind::Sparse`]
-    /// when it is set, [`EngineKind::Naive`] otherwise — after
-    /// consulting the `HWGC_ENGINE` environment knob (see
-    /// [`engine_from`]). [`EngineKind::Par`] runs the sparse loop
-    /// extended with conservative time windows executed by a host
-    /// thread pool (see `engine::par` and DESIGN §10); like the other
-    /// engines it is bit-exact, and it degrades to the plain sparse
-    /// loop whenever a window cannot soundly open.
-    pub engine: Option<EngineKind>,
-    /// Host worker threads for [`EngineKind::Par`] (`HWGC_HOST_THREADS`
-    /// in the environment): `0` (the default) means auto — one worker
-    /// per available host core; `1` keeps every window on the
-    /// coordinating thread.
-    pub host_threads: usize,
-    /// Minimum total words a window must copy before the par engine
-    /// dispatches the copy to the worker pool instead of doing it
-    /// inline (`HWGC_PAR_COPY_THRESHOLD`); windows below it are not
-    /// worth a handshake.
-    pub par_copy_threshold: usize,
+    /// Which simulation engine advances the collection (default
+    /// [`EngineKind::Fast`]). Both engines are bit-exact — identical
+    /// `GcStats`, SB event stamps, trace rows and probe streams — so the
+    /// choice changes host time only; see [`GcConfig::effective_engine`]
+    /// for the loop each one runs.
+    pub engine: EngineKind,
 }
 
-/// Most cores the sparse and par engines can schedule: their wake sets
-/// are `u64` bitmasks, one bit per core. Larger configurations run the
-/// naive loop (see [`GcConfig::effective_engine`]).
+/// Most cores the sparse loop can schedule: its wake sets are `u64`
+/// bitmasks, one bit per core. Larger configurations run the naive loop
+/// with fast-forward (see [`GcConfig::effective_engine`]).
 pub const SPARSE_MAX_CORES: usize = 64;
 
-/// Which simulation loop advances the collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which simulation engine advances the collection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
-    /// Tick every core every cycle (with event-horizon fast-forward
-    /// unless `fast_forward` is off).
+    /// The per-cycle oracle: tick every core every cycle, no skipping of
+    /// any kind. Every differential compares the fast loops against it.
+    Reference,
+    /// The fastest bit-exact loop for the configuration, chosen by
+    /// [`GcConfig::effective_engine`].
+    #[default]
+    Fast,
+}
+
+/// The simulation loop a configuration runs, as resolved by
+/// [`GcConfig::effective_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EngineLoop {
+    /// Tick every core every cycle ([`EngineKind::Reference`]).
     Naive,
-    /// The sparse active-set loop (PR 5): O(runnable) per cycle.
+    /// The naive loop plus event-horizon fast-forward: when every core
+    /// is stalled on in-flight memory and nothing else can change, the
+    /// clock jumps to the next memory completion in one step, with the
+    /// skipped per-cycle statistics replicated in bulk. Suppressed at
+    /// run time while a schedule policy or a mutator could observe the
+    /// skipped cycles.
+    FastForward,
+    /// The sparse active-set loop: cores whose next retry provably fails
+    /// park on per-resource wake conditions — SB lock releases, memory
+    /// retirements — and the clock jumps to the earliest wake, so
+    /// per-cycle work is O(runnable) instead of O(n_cores). Composes
+    /// with schedule policies; a mutator (which ticks every cycle)
+    /// switches the run to the naive loop.
     Sparse,
-    /// The sparse loop plus host-thread-parallel conservative windows:
-    /// when every core is parked mid-copy, the engine advances the
-    /// copy streams to the window horizon in one step and fans the
-    /// heap writes out across host threads.
-    Par,
-}
-
-/// Parse the `HWGC_ENGINE` environment knob: `naive`, `sparse` or `par`
-/// (ASCII case-insensitive, trimmed) select an engine; unset, empty or
-/// anything unrecognized yields `None`, which defers to the legacy
-/// `sparse` flag (`HWGC_SPARSE`).
-pub fn engine_from(var: Option<&str>) -> Option<EngineKind> {
-    match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        Some("naive") => Some(EngineKind::Naive),
-        Some("sparse") => Some(EngineKind::Sparse),
-        Some("par") => Some(EngineKind::Par),
-        _ => None,
-    }
-}
-
-/// Parse the `HWGC_HOST_THREADS` environment knob: a positive integer
-/// pins the worker count; unset, `0`, `auto` or anything unrecognized
-/// means auto-size to the host.
-pub fn host_threads_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse().ok()).unwrap_or(0)
-}
-
-/// Parse the `HWGC_SPARSE` escape hatch: unset keeps the sparse engine
-/// on; `0` / `false` / `off` / `no` (trimmed) disable it; anything else
-/// leaves it on.
-pub fn sparse_from(var: Option<&str>) -> bool {
-    !matches!(
-        var.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("no")
-    )
 }
 
 impl Default for GcConfig {
@@ -141,14 +96,7 @@ impl Default for GcConfig {
             tick_permutation_seed: None,
             multiport_sb: false,
             max_cycles: 2_000_000_000,
-            fast_forward: true,
-            sparse: sparse_from(std::env::var("HWGC_SPARSE").ok().as_deref()),
-            engine: engine_from(std::env::var("HWGC_ENGINE").ok().as_deref()),
-            host_threads: host_threads_from(std::env::var("HWGC_HOST_THREADS").ok().as_deref()),
-            par_copy_threshold: std::env::var("HWGC_PAR_COPY_THRESHOLD")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(256),
+            engine: EngineKind::Fast,
         }
     }
 }
@@ -162,32 +110,24 @@ impl GcConfig {
         }
     }
 
-    /// The engine this configuration actually runs: the explicit
-    /// [`GcConfig::engine`] override when present, else the legacy
-    /// `sparse` flag's choice — with one measured exception. At a single
-    /// simulated core the sparse loop's wake-admission bookkeeping costs
-    /// more than it saves (the active set *is* the core; PR 5 recorded a
-    /// ~6% regression there), so an unpinned single-core configuration
-    /// runs the naive loop with event-horizon fast-forward instead. The
-    /// engines are bit-exact, so the swap is invisible to every stat;
-    /// pin `engine: Some(EngineKind::Sparse)` (or `HWGC_ENGINE=sparse`)
-    /// to defeat the heuristic, e.g. in differential tests.
+    /// The loop this configuration runs — the engine's only
+    /// configuration gate, so ledgers and reports that label a run by
+    /// this value name the loop that actually ran.
     ///
-    /// Above [`SPARSE_MAX_CORES`] every choice, pinned or not, is the
-    /// naive loop. This is the engine's only configuration gate, so
-    /// ledgers and reports that label a run by this value name the loop
-    /// that actually ran.
-    pub fn effective_engine(&self) -> EngineKind {
-        if self.n_cores > SPARSE_MAX_CORES {
-            return EngineKind::Naive;
-        }
+    /// [`EngineKind::Reference`] always runs the naive loop.
+    /// [`EngineKind::Fast`] runs the sparse loop, except at a single
+    /// core and above [`SPARSE_MAX_CORES`], where it runs the naive loop
+    /// with fast-forward. At one core the sparse loop's wake bookkeeping
+    /// costs more than it saves — the active set *is* the core — and
+    /// forcing it there cost compress about 29% of its simulated-cycle
+    /// throughput.
+    pub fn effective_engine(&self) -> EngineLoop {
         match self.engine {
-            Some(kind) => kind,
-            // Only while fast-forward is on: without it the naive loop
-            // grinds every hollow cycle and loses by far more than 6%.
-            None if self.sparse && self.n_cores == 1 && self.fast_forward => EngineKind::Naive,
-            None if self.sparse => EngineKind::Sparse,
-            None => EngineKind::Naive,
+            EngineKind::Reference => EngineLoop::Naive,
+            EngineKind::Fast if self.n_cores == 1 || self.n_cores > SPARSE_MAX_CORES => {
+                EngineLoop::FastForward
+            }
+            EngineKind::Fast => EngineLoop::Sparse,
         }
     }
 }
@@ -201,6 +141,7 @@ mod tests {
         let c = GcConfig::default();
         assert_eq!(c.n_cores, 1);
         assert!(!c.test_before_lock);
+        assert_eq!(c.engine, EngineKind::Fast);
     }
 
     #[test]
@@ -211,109 +152,30 @@ mod tests {
     }
 
     #[test]
-    fn sparse_from_documents_every_input_class() {
-        // Unset: on by default.
-        assert!(sparse_from(None));
-        // Explicit off spellings, with surrounding whitespace tolerated.
-        for off in ["0", "false", "off", "no", " 0 ", "\tfalse\n"] {
-            assert!(!sparse_from(Some(off)), "{off:?} should disable");
-        }
-        // Anything else (including empty and affirmative values): on.
-        for on in ["", "1", "true", "on", "yes", "sparse", "OFF"] {
-            assert!(sparse_from(Some(on)), "{on:?} should keep the default");
-        }
-    }
-
-    #[test]
-    fn engine_from_documents_every_input_class() {
-        // The three engines, case-insensitive, whitespace-tolerant.
-        assert_eq!(engine_from(Some("naive")), Some(EngineKind::Naive));
-        assert_eq!(engine_from(Some("sparse")), Some(EngineKind::Sparse));
-        assert_eq!(engine_from(Some("par")), Some(EngineKind::Par));
-        assert_eq!(engine_from(Some(" PAR \n")), Some(EngineKind::Par));
-        // Unset, empty, or unrecognized: defer to the legacy flag.
-        assert_eq!(engine_from(None), None);
-        assert_eq!(engine_from(Some("")), None);
-        assert_eq!(engine_from(Some("parallel")), None);
-    }
-
-    #[test]
-    fn effective_engine_defers_to_the_sparse_flag() {
-        let base = GcConfig {
-            engine: None,
-            ..GcConfig::default()
+    fn effective_engine_resolves_each_kind() {
+        let at = |engine, n_cores| GcConfig {
+            engine,
+            ..GcConfig::with_cores(n_cores)
         };
-        let sparse_on = GcConfig {
-            sparse: true,
-            ..base
-        };
-        let sparse_off = GcConfig {
-            sparse: false,
-            ..base
-        };
-        // Single-core default: the naive loop wins (PR 5's recorded ~6%
-        // sparse regression at 1 core), unless fast-forward is off or
-        // the engine is pinned.
-        assert_eq!(sparse_on.effective_engine(), EngineKind::Naive);
-        assert_eq!(
-            GcConfig {
-                fast_forward: false,
-                ..sparse_on
-            }
-            .effective_engine(),
-            EngineKind::Sparse
-        );
-        assert_eq!(
-            GcConfig {
-                n_cores: 2,
-                ..sparse_on
-            }
-            .effective_engine(),
-            EngineKind::Sparse
-        );
-        assert_eq!(
-            GcConfig {
-                engine: Some(EngineKind::Sparse),
-                ..sparse_on
-            }
-            .effective_engine(),
-            EngineKind::Sparse
-        );
-        assert_eq!(sparse_off.effective_engine(), EngineKind::Naive);
-        // The explicit override wins regardless of the legacy flag.
-        for kind in [EngineKind::Naive, EngineKind::Sparse, EngineKind::Par] {
-            let c = GcConfig {
-                engine: Some(kind),
-                ..sparse_off
-            };
-            assert_eq!(c.effective_engine(), kind);
+        for n in [1, 2, 16, SPARSE_MAX_CORES, SPARSE_MAX_CORES + 1] {
+            assert_eq!(
+                at(EngineKind::Reference, n).effective_engine(),
+                EngineLoop::Naive
+            );
         }
-    }
-
-    #[test]
-    fn effective_engine_is_naive_above_the_sparse_core_limit() {
-        for kind in [None, Some(EngineKind::Sparse), Some(EngineKind::Par)] {
-            let at_limit = GcConfig {
-                engine: kind,
-                sparse: true,
-                ..GcConfig::with_cores(SPARSE_MAX_CORES)
-            };
-            assert_ne!(at_limit.effective_engine(), EngineKind::Naive, "{kind:?}");
-            let above = GcConfig {
-                n_cores: SPARSE_MAX_CORES + 1,
-                ..at_limit
-            };
-            assert_eq!(above.effective_engine(), EngineKind::Naive, "{kind:?}");
+        assert_eq!(
+            at(EngineKind::Fast, 1).effective_engine(),
+            EngineLoop::FastForward
+        );
+        for n in [2, 16, SPARSE_MAX_CORES] {
+            assert_eq!(
+                at(EngineKind::Fast, n).effective_engine(),
+                EngineLoop::Sparse
+            );
         }
-    }
-
-    #[test]
-    fn host_threads_from_documents_every_input_class() {
-        assert_eq!(host_threads_from(None), 0);
-        assert_eq!(host_threads_from(Some("4")), 4);
-        assert_eq!(host_threads_from(Some(" 8 ")), 8);
-        for auto in ["", "0", "auto", "-1", "many"] {
-            assert_eq!(host_threads_from(Some(auto)), 0, "{auto:?}");
-        }
+        assert_eq!(
+            at(EngineKind::Fast, SPARSE_MAX_CORES + 1).effective_engine(),
+            EngineLoop::FastForward
+        );
     }
 }

@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hwgc_core::{GcConfig, SignalTrace, SimCollector};
+use hwgc_core::{EngineKind, EngineLoop, GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::{GraphBuilder, Heap};
 
 struct CountingAlloc;
@@ -62,20 +62,17 @@ fn collect_counting(heap: &mut Heap, cfg: GcConfig) -> (u64, u64) {
 
 #[test]
 fn steady_state_cycles_do_not_allocate() {
-    // Both steady-state engines are covered: the naive per-cycle loop
-    // (sparse and fast-forward pinned off so every simulated cycle runs
-    // the loop body) and the sparse active-set loop, whose park/wake
+    // Both steady-state loops are covered: the reference engine's naive
+    // per-cycle loop (every simulated cycle runs the loop body) and the
+    // fast engine's sparse active-set loop at 4 cores, whose park/wake
     // machinery — wake lists, wake feed, retirement calendar, replay
     // scratch — must likewise be preallocated before cycle 0.
     let naive = GcConfig {
-        sparse: false,
-        fast_forward: false,
+        engine: EngineKind::Reference,
         ..GcConfig::with_cores(4)
     };
-    let sparse = GcConfig {
-        sparse: true,
-        ..GcConfig::with_cores(4)
-    };
+    let sparse = GcConfig::with_cores(4);
+    assert_eq!(sparse.effective_engine(), EngineLoop::Sparse);
     for (mode, cfg) in [("naive", naive), ("sparse", sparse)] {
         let mut small = chain(64);
         let mut large = chain(512);

@@ -21,7 +21,7 @@
 //! DRAM backend retires on bank/row timing.
 
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
-use hwgc_core::{GcConfig, SimCollector};
+use hwgc_core::{EngineKind, GcConfig, SimCollector};
 use hwgc_heap::{verify_collection, GraphBuilder, Heap, Snapshot};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use proptest::prelude::*;
@@ -135,16 +135,13 @@ proptest! {
             .with_extra_latency(extra)
             .with_backend(backend),
             test_before_lock,
-            // Pinned so the 1-core draws still differential sparse vs
-            // naive (the unpinned single-core default is the naive loop).
-            engine: Some(hwgc_core::EngineKind::Sparse),
-            sparse: true,
+            // The fast engine: the sparse loop from 2 cores up; the
+            // 1-core draws differential its fast-forward loop instead.
+            engine: EngineKind::Fast,
             ..GcConfig::with_cores(cores)
         };
         let naive_cfg = GcConfig {
-            engine: Some(hwgc_core::EngineKind::Naive),
-            sparse: false,
-            fast_forward: false,
+            engine: EngineKind::Reference,
             ..sparse_cfg
         };
         let (s_stats, s_free, s_heap, s_snap) = run(sparse_cfg, &shape, policy_choice, seed);
@@ -170,10 +167,7 @@ proptest! {
     ) {
         let sparse_cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(extra),
-            // Pinned so the 1-core draws still differential sparse vs
-            // naive (the unpinned single-core default is the naive loop).
-            engine: Some(hwgc_core::EngineKind::Sparse),
-            sparse: true,
+            engine: EngineKind::Fast,
             ..GcConfig::with_cores(cores)
         };
         let mut h1 = build(&shape);
@@ -182,9 +176,7 @@ proptest! {
         let mut h2 = build(&shape);
         let mut t2 = hwgc_core::trace::SignalTrace::with_events(1 << 40);
         let naive = SimCollector::new(GcConfig {
-            engine: Some(hwgc_core::EngineKind::Naive),
-            sparse: false,
-            fast_forward: false,
+            engine: EngineKind::Reference,
             ..sparse_cfg
         })
         .collect_traced(&mut h2, &mut t2);

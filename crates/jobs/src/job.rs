@@ -8,7 +8,7 @@
 //! moved here from `hwgc-bench` so the job layer and the harness derive
 //! byte-identical ledger records; `hwgc-bench` re-exports them.
 
-use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
+use hwgc_core::{EngineKind, EngineLoop, GcConfig, GcOutcome, SimCollector};
 use hwgc_heap::{verify_collection, Snapshot};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use hwgc_obs::json::Json;
@@ -80,12 +80,12 @@ pub fn workload_key(spec: &WorkloadSpec) -> String {
     format!("{}/seed{}/scale{}", spec.preset, spec.seed, spec.scale)
 }
 
-/// Ledger label for the engine a config resolves to.
+/// Ledger label for the loop a config resolves to.
 pub fn engine_label(cfg: &GcConfig) -> &'static str {
     match cfg.effective_engine() {
-        EngineKind::Naive => "naive",
-        EngineKind::Sparse => "sparse",
-        EngineKind::Par => "par",
+        EngineLoop::Naive => "naive",
+        EngineLoop::FastForward => "fast_forward",
+        EngineLoop::Sparse => "sparse",
     }
 }
 
@@ -121,7 +121,6 @@ pub fn ledger_config_pairs(cfg: &GcConfig) -> Vec<(String, String)> {
         kv("bandwidth", cfg.mem.bandwidth.to_string()),
         kv("engine", engine_label(cfg).to_string()),
         kv("extra_latency", cfg.mem.extra_latency.to_string()),
-        kv("fast_forward", cfg.fast_forward.to_string()),
         kv(
             "header_cache_entries",
             cfg.mem.header_cache_entries.to_string(),
@@ -130,18 +129,15 @@ pub fn ledger_config_pairs(cfg: &GcConfig) -> Vec<(String, String)> {
             "header_fifo_capacity",
             cfg.mem.header_fifo_capacity.to_string(),
         ),
-        kv("host_threads", cfg.host_threads.to_string()),
         kv("latency", cfg.mem.latency.to_string()),
         kv("line_split", format!("{:?}", cfg.line_split)),
         kv("max_cycles", cfg.max_cycles.to_string()),
         kv("multiport_sb", cfg.multiport_sb.to_string()),
         kv("n_cores", cfg.n_cores.to_string()),
-        kv("par_copy_threshold", cfg.par_copy_threshold.to_string()),
         kv(
             "service_reorder_seed",
             format!("{:?}", cfg.mem.service_reorder_seed),
         ),
-        kv("sparse", cfg.sparse.to_string()),
         kv("test_before_lock", cfg.test_before_lock.to_string()),
         kv(
             "tick_permutation_seed",
@@ -309,25 +305,21 @@ fn mem_from_json(j: &Json) -> Result<MemConfig, String> {
     })
 }
 
-fn engine_to_json(e: Option<EngineKind>) -> Json {
-    match e {
-        None => Json::Null,
-        Some(EngineKind::Naive) => Json::Str("naive".into()),
-        Some(EngineKind::Sparse) => Json::Str("sparse".into()),
-        Some(EngineKind::Par) => Json::Str("par".into()),
-    }
+fn engine_to_json(e: EngineKind) -> Json {
+    Json::Str(
+        match e {
+            EngineKind::Reference => "reference",
+            EngineKind::Fast => "fast",
+        }
+        .into(),
+    )
 }
 
-fn engine_from_json(j: Option<&Json>) -> Result<Option<EngineKind>, String> {
-    match j {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => match s.as_str() {
-            "naive" => Ok(Some(EngineKind::Naive)),
-            "sparse" => Ok(Some(EngineKind::Sparse)),
-            "par" => Ok(Some(EngineKind::Par)),
-            other => Err(format!("bad `engine` {other:?}")),
-        },
-        Some(_) => Err("`engine` is neither null nor a string".to_string()),
+fn engine_from_json(j: Option<&Json>) -> Result<EngineKind, String> {
+    match j.and_then(Json::as_str) {
+        Some("reference") => Ok(EngineKind::Reference),
+        Some("fast") => Ok(EngineKind::Fast),
+        other => Err(format!("bad `engine` {other:?}")),
     }
 }
 
@@ -356,17 +348,7 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
             Json::Int(i128::from(cfg.max_cycles)),
         ),
         ("multiport_sb".to_string(), Json::Bool(cfg.multiport_sb)),
-        ("fast_forward".to_string(), Json::Bool(cfg.fast_forward)),
-        ("sparse".to_string(), Json::Bool(cfg.sparse)),
         ("engine".to_string(), engine_to_json(cfg.engine)),
-        (
-            "host_threads".to_string(),
-            Json::Int(cfg.host_threads as i128),
-        ),
-        (
-            "par_copy_threshold".to_string(),
-            Json::Int(cfg.par_copy_threshold as i128),
-        ),
     ])
 }
 
@@ -385,11 +367,7 @@ pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
         )?,
         max_cycles: req_u64(j, "max_cycles")?,
         multiport_sb: req_bool(j, "multiport_sb")?,
-        fast_forward: req_bool(j, "fast_forward")?,
-        sparse: req_bool(j, "sparse")?,
         engine: engine_from_json(j.get("engine"))?,
-        host_threads: req_usize(j, "host_threads")?,
-        par_copy_threshold: req_usize(j, "par_copy_threshold")?,
     })
 }
 
@@ -436,34 +414,35 @@ mod tests {
 
     #[test]
     fn job_codec_round_trips_a_nontrivial_config() {
-        let job = SimJob {
-            spec: WorkloadSpec {
-                preset: Preset::Javac,
-                seed: 42,
-                scale: 1.5,
-            },
-            cfg: GcConfig {
-                n_cores: 4,
-                mem: MemConfig {
-                    extra_latency: 20,
-                    service_reorder_seed: Some(7),
-                    backend: MemBackendKind::Dram(DramConfig {
-                        page_policy: PagePolicy::Closed,
-                        ..DramConfig::default()
-                    }),
-                    ..MemConfig::default()
+        for engine in [EngineKind::Reference, EngineKind::Fast] {
+            let job = SimJob {
+                spec: WorkloadSpec {
+                    preset: Preset::Javac,
+                    seed: 42,
+                    scale: 1.5,
                 },
-                line_split: Some(8),
-                tick_permutation_seed: Some(3),
-                engine: Some(EngineKind::Par),
-                host_threads: 2,
-                ..GcConfig::with_cores(4)
-            },
-        };
-        let wire = job_to_json(&job).to_string_compact();
-        let back = job_from_json(&Json::parse(&wire).unwrap()).unwrap();
-        assert_eq!(back, job);
-        assert_eq!(back.config_hash(), job.config_hash());
+                cfg: GcConfig {
+                    n_cores: 4,
+                    mem: MemConfig {
+                        extra_latency: 20,
+                        service_reorder_seed: Some(7),
+                        backend: MemBackendKind::Dram(DramConfig {
+                            page_policy: PagePolicy::Closed,
+                            ..DramConfig::default()
+                        }),
+                        ..MemConfig::default()
+                    },
+                    line_split: Some(8),
+                    tick_permutation_seed: Some(3),
+                    engine,
+                    ..GcConfig::with_cores(4)
+                },
+            };
+            let wire = job_to_json(&job).to_string_compact();
+            let back = job_from_json(&Json::parse(&wire).unwrap()).unwrap();
+            assert_eq!(back, job, "{engine:?}");
+            assert_eq!(back.config_hash(), job.config_hash(), "{engine:?}");
+        }
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl RetireCalendar {
             _ => None,
         }
     }
-
-    /// Forget every entry (the window engine rebuilds the calendar).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +99,7 @@ mod tests {
         assert_eq!(cal.pop_due(8), Some((7, 0, 2)));
         assert_eq!(cal.pop_due(8), Some((7, 1, 0)));
         assert_eq!(cal.pop_due(8), None);
-        cal.clear();
+        assert_eq!(cal.pop_due(u64::MAX), Some((9, 0, 0)));
         assert_eq!(cal.next_at(), u64::MAX);
         assert_eq!(cal.pop_due(u64::MAX), None);
     }

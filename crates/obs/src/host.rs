@@ -13,12 +13,12 @@
 //! is load-bearing:
 //!
 //! * **deterministic efficacy counters and histograms** — park/wake
-//!   tallies by class, all-parked jumps, fast-forward jumps, the window
-//!   funnel (attempted / vetoed-by-reason / fired, window-length and
-//!   copy-words histograms). These are pure functions of simulation
-//!   state, identical on every host, and therefore golden-testable.
-//! * **host timings** — wall-clock nanoseconds per phase, `mem.tick`
-//!   cost, pool scatter/gather latency, per-worker busy time. These are
+//!   tallies by class, all-parked jumps and their length histogram,
+//!   fast-forward jumps, calendar pops. These are pure functions of
+//!   simulation state, identical on every host, and therefore
+//!   golden-testable.
+//! * **host timings** — wall-clock nanoseconds per phase and `mem.tick`
+//!   cost. These are
 //!   nondeterministic and must never leak into simulation artifacts:
 //!   the JSON schema quarantines them under a separate `"host"` object,
 //!   and the ledger prefixes every such field `host_`.
@@ -58,14 +58,6 @@ pub trait HostProf {
     /// host timer.
     fn time(&mut self, key: &'static str, ns: u64);
 
-    /// [`HostProf::time`] with a small integer slot (per-worker
-    /// utilization and the like); exported as `key[slot]`.
-    fn time_slot(&mut self, key: &'static str, slot: u32, ns: u64);
-
-    /// Record a **nondeterministic** host-side scalar (host-dependent
-    /// counts such as pool dispatches, which vary with the worker count).
-    fn note(&mut self, key: &'static str, value: u64);
-
     /// Open a host-time span (rendered on the Chrome host track).
     fn span(&mut self, name: &'static str, start_ns: u64, end_ns: u64);
 
@@ -87,10 +79,6 @@ impl HostProf for NullHostProf {
     fn sample(&mut self, _key: &'static str, _value: u64) {}
     #[inline(always)]
     fn time(&mut self, _key: &'static str, _ns: u64) {}
-    #[inline(always)]
-    fn time_slot(&mut self, _key: &'static str, _slot: u32, _ns: u64) {}
-    #[inline(always)]
-    fn note(&mut self, _key: &'static str, _value: u64) {}
     #[inline(always)]
     fn span(&mut self, _name: &'static str, _start_ns: u64, _end_ns: u64) {}
     #[inline(always)]
@@ -135,8 +123,7 @@ pub struct HostProfiler {
     epoch: Instant,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
-    timers: BTreeMap<String, TimerAgg>,
-    notes: BTreeMap<&'static str, u64>,
+    timers: BTreeMap<&'static str, TimerAgg>,
     spans: Vec<HostSpan>,
 }
 
@@ -159,19 +146,7 @@ impl HostProf for HostProfiler {
     }
 
     fn time(&mut self, key: &'static str, ns: u64) {
-        self.timers.entry(key.to_string()).or_default().add(ns);
-    }
-
-    fn time_slot(&mut self, key: &'static str, slot: u32, ns: u64) {
-        self.timers
-            .entry(format!("{key}[{slot}]"))
-            .or_default()
-            .add(ns);
-    }
-
-    fn note(&mut self, key: &'static str, value: u64) {
-        let c = self.notes.entry(key).or_insert(0);
-        *c = c.saturating_add(value);
+        self.timers.entry(key).or_default().add(ns);
     }
 
     fn span(&mut self, name: &'static str, start_ns: u64, end_ns: u64) {
@@ -195,7 +170,6 @@ impl HostProfiler {
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
             timers: BTreeMap::new(),
-            notes: BTreeMap::new(),
             spans: Vec::new(),
         }
     }
@@ -227,16 +201,11 @@ impl HostProfiler {
 
     /// Host timers, sorted by key. Wall-clock — never golden material.
     pub fn timers(&self) -> impl Iterator<Item = (&str, &TimerAgg)> {
-        self.timers.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Machine-dependent notes, sorted by key.
-    pub fn notes(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.notes.iter().map(|(&k, &v)| (k, v))
+        self.timers.iter().map(|(&k, v)| (k, v))
     }
 
     /// Sum of all deterministic counters whose key starts with `prefix`
-    /// (e.g. every `win.veto.` reason).
+    /// (e.g. every `engine.park.` class).
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
         self.counters
             .iter()
@@ -270,7 +239,7 @@ impl HostProfiler {
         ])
     }
 
-    /// The nondeterministic host section (timers, notes, spans).
+    /// The nondeterministic host section (timers, spans).
     fn host_json(&self) -> Json {
         Json::Obj(vec![
             (
@@ -280,7 +249,7 @@ impl HostProfiler {
                         .iter()
                         .map(|(k, t)| {
                             (
-                                k.clone(),
+                                k.to_string(),
                                 Json::Obj(vec![
                                     ("count".to_string(), Json::Int(t.count as i128)),
                                     ("total_ns".to_string(), Json::Int(t.total_ns as i128)),
@@ -288,15 +257,6 @@ impl HostProfiler {
                                 ]),
                             )
                         })
-                        .collect(),
-                ),
-            ),
-            (
-                "notes".to_string(),
-                Json::Obj(
-                    self.notes
-                        .iter()
-                        .map(|(&k, &v)| (k.to_string(), Json::Int(v as i128)))
                         .collect(),
                 ),
             ),
@@ -339,8 +299,7 @@ impl HostProfiler {
     pub fn folded(&self) -> FoldedStacks {
         let mut f = FoldedStacks::new();
         for (key, agg) in &self.timers {
-            // Slot suffixes (`pool.worker_busy[3]`) keep their brackets;
-            // only dots split frames. Brackets are folded-safe.
+            // Dots split frames.
             let mut frames: Vec<&str> = vec!["host"];
             frames.extend(key.split('.'));
             f.add(&frames, agg.total_ns);
@@ -428,7 +387,7 @@ pub fn merge_host_track(chrome_json: &str, prof: &HostProfiler) -> Result<String
 /// Validate a [`HOSTPROF_SCHEMA`] document: schema tag, section shape,
 /// and — the quarantine invariant — no wall-clock key inside the
 /// deterministic section (no key there may start with `host` or end in
-/// `_ns`), and nothing but timers/notes/spans inside `host`.
+/// `_ns`), and timers and spans inside `host`.
 pub fn validate_hostprof_json(text: &str) -> Result<(), String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     if doc.get("schema").and_then(Json::as_str) != Some(HOSTPROF_SCHEMA) {
@@ -458,7 +417,7 @@ pub fn validate_hostprof_json(text: &str) -> Result<(), String> {
         }
     }
     let host = doc.get("host").ok_or("missing host section")?;
-    for section in ["timers", "notes", "spans"] {
+    for section in ["timers", "spans"] {
         if host.get(section).is_none() {
             return Err(format!("host.{section} missing"));
         }
@@ -472,14 +431,13 @@ mod tests {
 
     fn profiler_with_data() -> HostProfiler {
         let mut p = HostProfiler::new();
-        p.count("win.fired", 3);
-        p.count("win.veto.retire_bound", 2);
-        p.sample("win.len", 64);
-        p.sample("win.len", 128);
+        p.count("engine.wake.mem", 3);
+        p.count("engine.park.body_load", 2);
+        p.sample("engine.jump.len", 64);
+        p.sample("engine.jump.len", 128);
         p.time("phase.steady", 1_500);
         p.time("phase.steady", 500);
-        p.time_slot("pool.worker_busy", 2, 40);
-        p.note("pool.dispatches", 7);
+        p.time("mem.tick", 40);
         p.span("root", 100, 2_100);
         p
     }
@@ -496,13 +454,13 @@ mod tests {
     #[test]
     fn counters_and_timers_aggregate() {
         let p = profiler_with_data();
-        assert_eq!(p.counter("win.fired"), 3);
+        assert_eq!(p.counter("engine.wake.mem"), 3);
         assert_eq!(p.counter("missing"), 0);
-        assert_eq!(p.counter_prefix_sum("win.veto."), 2);
-        assert_eq!(p.hist("win.len").unwrap().count(), 2);
+        assert_eq!(p.counter_prefix_sum("engine.park."), 2);
+        assert_eq!(p.hist("engine.jump.len").unwrap().count(), 2);
         let t = p.timer("phase.steady").unwrap();
         assert_eq!((t.count, t.total_ns, t.max_ns), (2, 2_000, 1_500));
-        assert!(p.timer("pool.worker_busy[2]").is_some());
+        assert!(p.timer("mem.tick").is_some());
     }
 
     #[test]
@@ -520,7 +478,7 @@ mod tests {
     fn validator_rejects_wall_clock_in_deterministic() {
         let bad = r#"{"schema":"hwgc-hostprof-v1",
             "deterministic":{"counters":{"host_tick_ns":5},"histograms":{}},
-            "host":{"timers":{},"notes":{},"spans":[]}}"#;
+            "host":{"timers":{},"spans":[]}}"#;
         let err = validate_hostprof_json(bad).unwrap_err();
         assert!(err.contains("wall-clock"), "{err}");
     }
@@ -530,7 +488,7 @@ mod tests {
         let p = profiler_with_data();
         let folded = p.folded().to_folded_string();
         assert!(folded.contains("host;phase;steady 2000"), "{folded}");
-        assert!(folded.contains("host;pool;worker_busy[2] 40"), "{folded}");
+        assert!(folded.contains("host;mem;tick 40"), "{folded}");
     }
 
     #[test]

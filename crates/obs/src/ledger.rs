@@ -44,7 +44,7 @@ pub struct LedgerRecord {
     pub binary: String,
     /// Workload / preset label.
     pub workload: String,
-    /// Engine kind actually run (`naive` / `sparse` / `par`).
+    /// Engine loop actually run (`naive` / `fast_forward` / `sparse`).
     pub engine: String,
     /// Memory backend kind (`fixed` / `dram`).
     pub backend: String,
@@ -60,8 +60,8 @@ pub struct LedgerRecord {
     pub total_cycles: Option<u64>,
     /// SB event-stream FNV fingerprint, when the run logged SB events.
     pub sb_fingerprint: Option<u64>,
-    /// Deterministic efficacy counters (windows fired, veto reasons,
-    /// wake counts, ff jumps, …) — golden-testable, not hashed.
+    /// Deterministic efficacy counters (park and wake counts, ff jumps,
+    /// calendar pops, …) — golden-testable, not hashed.
     pub efficacy: Vec<(String, u64)>,
     /// Full result payload for the content-addressed cache (the complete
     /// `GcStats` plus allocation frontier, serialized by `hwgc-check`'s
@@ -292,19 +292,19 @@ mod tests {
         LedgerRecord {
             binary: "bench_baseline".to_string(),
             workload: "compress".to_string(),
-            engine: "par".to_string(),
+            engine: "sparse".to_string(),
             backend: "fixed".to_string(),
             config: vec![
                 ("n_cores".to_string(), "16".to_string()),
                 ("extra_latency".to_string(), "20".to_string()),
             ],
-            env: vec![("HWGC_HOST_THREADS".to_string(), "1".to_string())],
+            env: vec![("HWGC_MEM_BACKEND".to_string(), "fixed".to_string())],
             stats_digest: 0xdead_beef,
             total_cycles: Some(124_483),
             sb_fingerprint: Some(0x1234),
             efficacy: vec![
-                ("win.fired".to_string(), 120),
-                ("win.veto.retire_bound".to_string(), 4),
+                ("engine.wake.mem".to_string(), 120),
+                ("engine.park.body_load".to_string(), 4),
             ],
             result: Some(Json::Obj(vec![("free".to_string(), Json::Int(0x1000))])),
             host: vec![

@@ -347,7 +347,7 @@ mod tests {
         // Same config, same outputs, extra information: merged in.
         let mut richer = record("a", 7);
         richer.sb_fingerprint = Some(0xabc);
-        richer.efficacy = vec![("win.fired".to_string(), 3)];
+        richer.efficacy = vec![("engine.wake.mem".to_string(), 3)];
         richer.result = Some(Json::Int(1));
         richer.host = vec![("wall_ns".to_string(), Json::Int(99))];
         assert_eq!(store.insert(richer).unwrap(), InsertOutcome::Merged);
@@ -383,10 +383,10 @@ mod tests {
     fn conflicting_shared_efficacy_hard_fails() {
         let mut store = LedgerStore::new();
         let mut a = record("a", 7);
-        a.efficacy = vec![("win.fired".to_string(), 3)];
+        a.efficacy = vec![("engine.wake.mem".to_string(), 3)];
         store.insert(a).unwrap();
         let mut b = record("a", 7);
-        b.efficacy = vec![("win.fired".to_string(), 4)];
+        b.efficacy = vec![("engine.wake.mem".to_string(), 4)];
         let err = store.insert(b).unwrap_err();
         assert!(
             matches!(
