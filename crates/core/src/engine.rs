@@ -34,7 +34,9 @@
 
 use hwgc_heap::header::Header;
 use hwgc_heap::{Addr, Heap, NULL};
-use hwgc_memsim::{DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem, Port};
+use hwgc_memsim::{
+    DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem, Port, PORT_COUNT,
+};
 use hwgc_obs::{Event, HostProf, NullHostProf, NullProbe, Probe, SampleRec};
 use hwgc_sync::{LockKind, SyncBlock};
 
@@ -90,23 +92,24 @@ fn park_key(reason: StallReason) -> &'static str {
     }
 }
 
-/// Can a retirement on `port` make the retry of a core parked on
-/// `reason` succeed? A load or store wait depends only on its own port's
-/// transaction, `Drain` on every port going idle, and the lock and
-/// empty-worklist retries on SB state alone — so a memory wake for any
-/// other pairing would only buy the parked core one more failed retry.
+/// The ports whose retirement can make the retry of a core parked on
+/// `reason` succeed, one bit per `Port as usize`. A load or store wait
+/// depends only on its own port's transaction, `Drain` on every port
+/// going idle, and the lock and empty-worklist retries on SB state alone
+/// — so a memory wake for any other pairing would only buy the parked
+/// core one more failed retry.
 #[inline]
-fn mem_wakes(reason: StallReason, port: Port) -> bool {
+fn wake_ports(reason: StallReason) -> u32 {
     match reason {
-        StallReason::BodyLoad => port == Port::BodyLoad,
-        StallReason::BodyStore => port == Port::BodyStore,
-        StallReason::HeaderLoad => port == Port::HeaderLoad,
-        StallReason::HeaderStore => port == Port::HeaderStore,
-        StallReason::Drain => true,
+        StallReason::BodyLoad => 1 << Port::BodyLoad as u32,
+        StallReason::BodyStore => 1 << Port::BodyStore as u32,
+        StallReason::HeaderLoad => 1 << Port::HeaderLoad as u32,
+        StallReason::HeaderStore => 1 << Port::HeaderStore as u32,
+        StallReason::Drain => (1 << PORT_COUNT) - 1,
         StallReason::ScanLock
         | StallReason::FreeLock
         | StallReason::HeaderLock
-        | StallReason::EmptySpin => false,
+        | StallReason::EmptySpin => 0,
     }
 }
 
@@ -443,8 +446,8 @@ impl SimCollector {
             //   memory stalls ........... memory wake feed, own port only
             //                             (only that port's retirement can
             //                             change the retry, and the feed
-            //                             reports every retirement as
-            //                             `(core, port)`)
+            //                             reports every retirement as a
+            //                             core bit in its port's mask)
             //   Drain ................... memory wake feed, any own port
             //
             // A core never wakes on memory for a lock or empty-worklist
@@ -481,6 +484,9 @@ impl SimCollector {
             // Cores ticking in the cycle currently executing.
             let mut cur: u64;
             let mut park_reason: Vec<Option<StallReason>> = vec![None; n];
+            // Per port, the cores parked on a stall that port's retirement
+            // can end (`wake_ports` of their park reason).
+            let mut mem_parked = [0u64; PORT_COUNT];
             // Cycle stamp of each core's parking tick (a stalled retry,
             // or the tick that issued the awaited load); replay at wake
             // covers the cycles after it.
@@ -544,6 +550,9 @@ impl SimCollector {
                             }
                         }
                         park_reason[w] = None;
+                        for mask in &mut mem_parked {
+                            *mask &= !(1u64 << w);
+                        }
                         sb.cancel_park(w);
                         awake |= 1u64 << w;
                         if this_cycle {
@@ -684,6 +693,12 @@ impl SimCollector {
                         park_reason[idx] = Some(reason);
                         park_since[idx] = cycles + 1;
                         awake &= !(1u64 << idx);
+                        let ports = wake_ports(reason);
+                        for (p, mask) in mem_parked.iter_mut().enumerate() {
+                            if ports & (1 << p) != 0 {
+                                *mask |= 1u64 << idx;
+                            }
+                        }
                     }
                     // SB operations in this tick may have woken parked
                     // cores. A woken core whose slot in the arranged order
@@ -825,14 +840,20 @@ impl SimCollector {
                 cur = awake;
                 // Retirements in this memory tick wake the cores waiting
                 // on those ports into this cycle — exactly the cycle the
-                // naive loop would first see the retry succeed.
-                for i in 0..mem.wakes().len() {
-                    let (w, port) = mem.wakes()[i];
-                    if park_reason[w].is_some_and(|reason| mem_wakes(reason, port)) {
-                        wake_parked!(w, true, "engine.wake.mem");
-                    }
+                // naive loop would first see the retry succeed. Wakes go
+                // in core order; every wake effect is per-core, so the
+                // order is unobservable.
+                let retired = mem.retired();
+                mem.clear_retired();
+                let mut due = 0u64;
+                for (r, parked) in retired.iter().zip(&mem_parked) {
+                    due |= r & parked;
                 }
-                mem.clear_wakes();
+                while due != 0 {
+                    let w = due.trailing_zeros() as usize;
+                    due &= due - 1;
+                    wake_parked!(w, true, "engine.wake.mem");
+                }
                 if let Some(p) = policy.as_deref_mut() {
                     for (i, (view, core)) in views.iter_mut().zip(&cores).enumerate() {
                         *view = CoreView {

@@ -42,14 +42,17 @@
 //!    event log must equal a `k`-fold naive `tick()` sequence bit for
 //!    bit (dead-wait windows are transition-free, so the log gains
 //!    nothing; per-cycle counters are replicated in bulk).
-//! 5. **Wake completeness** ([`MemBackend::wakes`]): with the feed
-//!    enabled, every retirement that can change the outcome of a core's
-//!    retry pushes that transaction's `(core, port)` before the engine
-//!    drains the feed — a parked core is woken by the feed or not at all,
-//!    and only by the port its retry waits on.
+//! 5. **Wake completeness** ([`MemBackend::retired`]): with the feed
+//!    enabled, every retirement sets its core's bit in its port's mask
+//!    before the engine drains the feed, and nothing else sets a bit — a
+//!    parked core is woken by the feed or not at all, and only by the
+//!    port its retry waits on. Each in-service transaction is taken off
+//!    the retirement calendar at exactly its `done_at`: the engines tick
+//!    every retirement cycle, and a backend must not retire early or
+//!    late.
 
 use crate::dram::DramConfig;
-use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port};
+use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port, PORT_COUNT};
 
 /// Which memory-timing backend the engine instantiates. Carried inside
 /// [`MemConfig`] so every existing config-construction site (struct
@@ -188,15 +191,17 @@ pub trait MemBackend {
     /// Take ownership of the recorded events.
     fn take_event_log(&mut self) -> Vec<MemEventRecord>;
 
-    /// Turn on the sparse-engine wake feed (contract obligation 5).
+    /// Turn on the sparse-engine wake feed (contract obligation 5) for at
+    /// most 64 cores.
     fn enable_wake_feed(&mut self, n_cores: usize);
 
-    /// The `(core, port)` of every transaction that retired since the
-    /// last [`MemBackend::clear_wakes`], in retirement order.
-    fn wakes(&self) -> &[(usize, Port)];
+    /// Per port (indexed by `Port as usize`), the mask of cores whose
+    /// transaction on that port retired since the last
+    /// [`MemBackend::clear_retired`]. See [`MemorySystem::retired`].
+    fn retired(&self) -> [u64; PORT_COUNT];
 
-    /// Forget the drained wake notifications.
-    fn clear_wakes(&mut self);
+    /// Forget the drained retirements.
+    fn clear_retired(&mut self);
 
     /// Statistics so far.
     fn stats(&self) -> &MemStats;
@@ -313,13 +318,13 @@ impl MemBackend for MemorySystem {
     }
 
     #[inline]
-    fn wakes(&self) -> &[(usize, Port)] {
-        MemorySystem::wakes(self)
+    fn retired(&self) -> [u64; PORT_COUNT] {
+        MemorySystem::retired(self)
     }
 
     #[inline]
-    fn clear_wakes(&mut self) {
-        MemorySystem::clear_wakes(self)
+    fn clear_retired(&mut self) {
+        MemorySystem::clear_retired(self)
     }
 
     #[inline]

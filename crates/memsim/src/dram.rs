@@ -26,6 +26,9 @@
 //! The Figure 6 `extra_latency` knob still applies to every access.
 //! `tCAS >= 1` is asserted, so no access retires within its service
 //! start tick — the calendar contracts below need no zero-latency path.
+//! The longest access is a conflict right after an activate, `tRAS +
+//! tRP + tRCD + tCAS + extra_latency`; the retirement wheel is sized
+//! for it.
 //!
 //! # Calendar/fast-forward contracts (see [`crate::MemBackend`])
 //!
@@ -50,8 +53,8 @@ use std::collections::VecDeque;
 use crate::backend::{MemBackend, MemBackendKind};
 use crate::calendar::RetireCalendar;
 use crate::system::{
-    remove_one, MemConfig, MemEvent, MemEventRecord, MemStats, Port, RowOutcome, Txn, TxnState,
-    PORT_COUNT,
+    remove_one, service_horizon, slot_of, slot_parts, MemConfig, MemEvent, MemEventRecord,
+    MemStats, Port, RowOutcome, Txn, TxnState, PORT_COUNT,
 };
 
 /// Row-buffer page policy.
@@ -187,8 +190,8 @@ pub struct DramMemorySystem {
     cycle: u64,
     /// `ports[core][port]` — identical protocol to the fixed model.
     ports: Vec<[Option<Txn>; PORT_COUNT]>,
-    /// Per-bank service queues, FIFO within a bank.
-    bank_queues: Vec<VecDeque<(usize, Port, u32)>>,
+    /// Per-bank service queues of slot ids, FIFO within a bank.
+    bank_queues: Vec<VecDeque<u32>>,
     /// Total requests across all bank queues.
     queued_total: usize,
     pending_header_stores: Vec<u32>,
@@ -202,7 +205,8 @@ pub struct DramMemorySystem {
     next_retire: u64,
     retire_cal: RetireCalendar,
     pending_stores_dirty: bool,
-    wake_feed: Option<Vec<(usize, Port)>>,
+    wake_feed: bool,
+    retired: [u64; PORT_COUNT],
     events: Option<Vec<MemEventRecord>>,
 }
 
@@ -219,6 +223,16 @@ impl DramMemorySystem {
         assert!(dram.t_cas >= 1, "tCAS must be at least one cycle");
         assert!(dram.n_banks >= 1, "need at least one bank");
         assert!(dram.row_words >= 1, "rows must hold at least one word");
+        let horizon = service_horizon(
+            &[
+                dram.t_ras,
+                dram.t_rp,
+                dram.t_rcd,
+                dram.t_cas,
+                cfg.extra_latency,
+            ],
+            "t_ras + t_rp + t_rcd + t_cas + extra_latency",
+        );
         let n_banks = dram.n_banks as usize;
         // Built in a loop, not `vec![..; n]`: cloning a `VecDeque` does
         // not preserve capacity, and the steady-state loop must never
@@ -256,9 +270,10 @@ impl DramMemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: RetireCalendar::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            retire_cal: RetireCalendar::new(n_cores * PORT_COUNT, horizon),
             pending_stores_dirty: false,
-            wake_feed: None,
+            wake_feed: false,
+            retired: [0; PORT_COUNT],
             events: None,
         }
     }
@@ -274,9 +289,9 @@ impl DramMemorySystem {
     }
 
     #[inline]
-    fn push_wake(&mut self, core: usize, port: Port) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.push((core, port));
+    fn note_retired(&mut self, core: usize, port: Port) {
+        if self.wake_feed {
+            self.retired[port as usize] |= 1 << core;
         }
     }
 
@@ -351,34 +366,15 @@ impl DramMemorySystem {
         self.cycle += 1;
         self.stats.cycles += 1;
 
-        // 1. Retire in-service transactions that are due.
+        // 1. Retire in-service transactions that are due (the fixed
+        // model's calendar walk).
         if self.in_service > 0 && self.next_retire <= self.cycle {
-            while let Some((done_at, core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
-                let port = Port::ALL[port_idx];
-                let txn = self.ports[core][port_idx]
-                    .as_mut()
-                    .expect("calendar entry without a transaction");
-                debug_assert_eq!(txn.state, TxnState::InService { done_at });
-                self.in_service -= 1;
-                if port.is_load() {
-                    txn.state = TxnState::Complete;
-                    self.complete += 1;
-                } else {
-                    if port == Port::HeaderStore {
-                        let addr = txn.addr;
-                        remove_one(&mut self.pending_header_stores, addr);
-                        self.pending_stores_dirty = true;
-                    }
-                    self.ports[core][port_idx] = None;
-                    self.occupied -= 1;
-                }
-                self.log(MemEvent::Retire {
-                    core: core as u32,
-                    port,
-                });
-                self.push_wake(core, port);
+            debug_assert_eq!(self.next_retire, self.cycle, "retirement taken late");
+            let mut due = self.retire_cal.take(self.cycle);
+            while let Some(slot) = self.retire_cal.next_due(&mut due) {
+                self.retire(slot);
             }
-            self.next_retire = self.retire_cal.next_at();
+            self.next_retire = self.retire_cal.next_after(self.cycle);
         }
 
         // 2. Comparator re-check (identical to the fixed model).
@@ -394,7 +390,7 @@ impl DramMemorySystem {
                                 let addr = txn.addr;
                                 self.blocked -= 1;
                                 let bank = self.bank_of(addr);
-                                self.bank_queues[bank].push_back((core, Port::HeaderLoad, addr));
+                                self.bank_queues[bank].push_back(slot_of(core, Port::HeaderLoad));
                                 self.queued_total += 1;
                                 self.log(MemEvent::CompUnblocked {
                                     core: core as u32,
@@ -423,7 +419,12 @@ impl DramMemorySystem {
                 if self.bank_queues[b].is_empty() || self.banks[b].ready_at > self.cycle {
                     continue;
                 }
-                let (core, port, addr) = self.bank_queues[b].pop_front().expect("checked");
+                let slot = self.bank_queues[b].pop_front().expect("checked");
+                let (core, port) = slot_parts(slot as usize);
+                let addr = self.ports[core][port as usize]
+                    .as_ref()
+                    .expect("queued transaction must exist")
+                    .addr;
                 self.queued_total -= 1;
                 budget -= 1;
                 let left_behind = self.bank_queues[b].len() as u32;
@@ -462,10 +463,44 @@ impl DramMemorySystem {
                 debug_assert_eq!(txn.state, TxnState::Queued);
                 txn.state = TxnState::InService { done_at };
                 self.in_service += 1;
-                self.retire_cal.push(done_at, core, port as usize);
+                self.retire_cal.push(self.cycle, done_at, slot as usize);
                 self.next_retire = self.next_retire.min(done_at);
             }
         }
+    }
+
+    /// Retire the in-service transaction in `slot`, due this cycle (see
+    /// the fixed model's `retire`).
+    #[inline]
+    fn retire(&mut self, slot: usize) {
+        let (core, port) = slot_parts(slot);
+        let txn = self.ports[core][port as usize]
+            .as_mut()
+            .expect("calendar entry without a transaction");
+        debug_assert_eq!(
+            txn.state,
+            TxnState::InService {
+                done_at: self.cycle
+            }
+        );
+        self.in_service -= 1;
+        if port.is_load() {
+            txn.state = TxnState::Complete;
+            self.complete += 1;
+        } else {
+            if port == Port::HeaderStore {
+                let addr = txn.addr;
+                remove_one(&mut self.pending_header_stores, addr);
+                self.pending_stores_dirty = true;
+            }
+            self.ports[core][port as usize] = None;
+            self.occupied -= 1;
+        }
+        self.log(MemEvent::Retire {
+            core: core as u32,
+            port,
+        });
+        self.note_retired(core, port);
     }
 
     /// Issue a request on `(core, port)` — the protocol (port buffers,
@@ -491,6 +526,7 @@ impl DramMemorySystem {
         }
         self.ports[core][port as usize] = Some(Txn {
             addr,
+            latency: 0,
             state,
             issued_at: self.cycle,
         });
@@ -503,7 +539,7 @@ impl DramMemorySystem {
         match state {
             TxnState::Queued => {
                 let bank = self.bank_of(addr);
-                self.bank_queues[bank].push_back((core, port, addr));
+                self.bank_queues[bank].push_back(slot_of(core, port));
                 self.queued_total += 1;
             }
             TxnState::Blocked => {
@@ -665,19 +701,18 @@ impl MemBackend for DramMemorySystem {
     }
 
     fn enable_wake_feed(&mut self, n_cores: usize) {
-        self.wake_feed = Some(Vec::with_capacity(n_cores * PORT_COUNT));
+        assert!(n_cores <= 64, "the wake feed covers at most 64 cores");
+        self.wake_feed = true;
     }
 
     #[inline]
-    fn wakes(&self) -> &[(usize, Port)] {
-        self.wake_feed.as_deref().unwrap_or(&[])
+    fn retired(&self) -> [u64; PORT_COUNT] {
+        self.retired
     }
 
     #[inline]
-    fn clear_wakes(&mut self) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.clear();
-        }
+    fn clear_retired(&mut self) {
+        self.retired = [0; PORT_COUNT];
     }
 
     #[inline]
@@ -942,12 +977,16 @@ mod tests {
         assert!(m.try_issue(0, Port::BodyLoad, 0)); // bank 0
         assert!(m.try_issue(1, Port::BodyStore, 16)); // bank 1
         m.tick(); // both start (bandwidth 2): done at 5
-        assert!(m.wakes().is_empty(), "nothing retired yet");
+        assert_eq!(m.retired(), [0; PORT_COUNT], "nothing retired yet");
         for _ in 0..4 {
             m.tick();
         }
-        assert_eq!(m.wakes(), &[(0, Port::BodyLoad), (1, Port::BodyStore)]);
-        m.clear_wakes();
+        let mut expect = [0; PORT_COUNT];
+        expect[Port::BodyLoad as usize] = 1 << 0;
+        expect[Port::BodyStore as usize] = 1 << 1;
+        assert_eq!(m.retired(), expect);
+        m.clear_retired();
+        assert_eq!(m.retired(), [0; PORT_COUNT]);
         m.consume_load(0, Port::BodyLoad);
         assert!(m.all_idle());
     }
@@ -1003,6 +1042,58 @@ mod tests {
             m.tick();
         }
         assert_eq!(m.cycle(), 25);
+    }
+
+    #[test]
+    #[should_panic(expected = "t_ras + t_rp + t_rcd + t_cas + extra_latency = 4294967304 cycles")]
+    fn a_latency_sum_that_would_wrap_is_rejected() {
+        DramMemorySystem::new(
+            1,
+            MemConfig {
+                bandwidth: 2,
+                backend: MemBackendKind::Dram(DramConfig {
+                    t_ras: u32::MAX,
+                    ..dram_cfg()
+                }),
+                ..MemConfig::default()
+            }
+            .with_extra_latency(2),
+        );
+    }
+
+    #[test]
+    fn a_long_extra_latency_retires_exactly_on_time() {
+        // extra 3000 ⇒ a 4096-bucket wheel, wrapped by a long stream of
+        // same-bank conflicts.
+        let mut m = DramMemorySystem::new(
+            1,
+            MemConfig {
+                bandwidth: 2,
+                backend: MemBackendKind::Dram(dram_cfg()),
+                ..MemConfig::default()
+            }
+            .with_extra_latency(3000),
+        );
+        m.enable_event_log();
+        for round in 0..8u32 {
+            assert!(m.try_issue(0, Port::BodyLoad, round * 64));
+            while !m.load_ready(0, Port::BodyLoad) {
+                m.tick();
+            }
+            m.consume_load(0, Port::BodyLoad);
+        }
+        let mut started = None;
+        for rec in m.take_event_log() {
+            match rec.event {
+                MemEvent::ServiceStart { latency, .. } => {
+                    started = Some(rec.cycle + u64::from(latency));
+                }
+                MemEvent::Retire { .. } => assert_eq!(started.take(), Some(rec.cycle)),
+                _ => {}
+            }
+        }
+        assert_eq!(dstats(&m).row_conflicts, 7);
+        assert!(m.cycle() > 4 * 4096, "the wheel wrapped several times");
     }
 
     #[test]

@@ -129,8 +129,52 @@ pub(crate) enum TxnState {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Txn {
     pub(crate) addr: u32,
+    /// Service latency, fixed at issue by the fixed backend (see
+    /// [`MemorySystem::try_issue`]). The DRAM backend resolves latency
+    /// against bank state at service start and leaves this 0.
+    pub(crate) latency: u32,
     pub(crate) state: TxnState,
     pub(crate) issued_at: u64,
+}
+
+/// The port-buffer slot id of `(core, port)`: `core * PORT_COUNT + port`.
+/// Service queues and the retirement calendar hold slot ids, and their
+/// ascending order is `(core, port)` order.
+#[inline]
+pub(crate) fn slot_of(core: usize, port: Port) -> u32 {
+    (core * PORT_COUNT + port as usize) as u32
+}
+
+/// The `(core, port)` of a slot id (inverse of [`slot_of`]).
+#[inline]
+pub(crate) fn slot_parts(slot: usize) -> (usize, Port) {
+    (slot / PORT_COUNT, Port::ALL[slot % PORT_COUNT])
+}
+
+/// The longest service latency, in cycles, a memory configuration may
+/// produce. The retirement calendar is a timing wheel with one bucket per
+/// cycle of this horizon, so the limit bounds what the wheel costs: at
+/// most 2^16 buckets, i.e. 512 KiB of buckets per 16 cores plus an 8 KiB
+/// occupancy bitmap, and at most 1,024 bitmap words scanned per
+/// retirement cycle. The paper's experiments need at most a few hundred
+/// cycles. The limit also keeps every `u32` latency sum from wrapping.
+pub(crate) const MAX_SERVICE_LATENCY: u64 = (1 << 16) - 1;
+
+/// The maximum service latency of a configuration whose worst access
+/// costs the sum of `terms` (named by `what` in the panic message),
+/// computed in `u64` so an overflowing `u32` sum is caught rather than
+/// wrapped.
+///
+/// # Panics
+/// Panics when the sum exceeds [`MAX_SERVICE_LATENCY`].
+pub(crate) fn service_horizon(terms: &[u32], what: &str) -> u64 {
+    let total = terms.iter().map(|&t| u64::from(t)).sum::<u64>();
+    assert!(
+        total <= MAX_SERVICE_LATENCY,
+        "{what} = {total} cycles exceeds the {MAX_SERVICE_LATENCY}-cycle service latency limit \
+         (the size limit of the retirement wheel)"
+    );
+    total
 }
 
 /// One memory-system transition, as recorded by the opt-in event log (see
@@ -254,14 +298,15 @@ pub struct MemorySystem {
     cycle: u64,
     /// `ports[core][port]`.
     ports: Vec<[Option<Txn>; PORT_COUNT]>,
-    /// Service queue: `(core, port)` in arrival order.
-    queue: VecDeque<(usize, Port)>,
+    /// Service queue: slot ids (see [`slot_of`]) in arrival order.
+    queue: VecDeque<u32>,
     /// Pending header-store addresses (comparator array). Tiny: at most one
     /// entry per core.
     pending_header_stores: Vec<u32>,
     /// Last body-access address per core and port parity (load/store),
     /// for the sequential-burst fast path: bodies are streamed, so an
     /// access to `prev + 1` hits the open DRAM row / continues the burst.
+    /// Updated at issue (see [`MemorySystem::try_issue`]).
     last_body_addr: Vec<[Option<u32>; 2]>,
     /// Shared direct-mapped header cache: tag (header address) per set.
     /// Timing-only — data always comes from the functional heap; the
@@ -282,18 +327,19 @@ pub struct MemorySystem {
     complete: usize,
     next_retire: u64,
     /// Retirement calendar: one entry per in-service transaction (see
-    /// [`RetireCalendar`]). Bounded by the port-buffer count, so the
-    /// preallocated calendar never grows.
+    /// [`RetireCalendar`]), sized for `latency + extra_latency`.
     retire_cal: RetireCalendar,
     /// Set when a pending header store retired; the comparator re-check
     /// can only unblock a load on such a cycle.
     pending_stores_dirty: bool,
-    /// Sparse-engine wake feed (`None` = off): the `(core, port)` of every
-    /// transaction that retired since the engine last drained. A core
-    /// parked on a memory stall re-ticks when the port it waits on
-    /// appears here — that port's retirement is the only event that can
-    /// make its retry succeed.
-    wake_feed: Option<Vec<(usize, Port)>>,
+    /// Is the sparse-engine wake feed on (see [`MemorySystem::retired`])?
+    wake_feed: bool,
+    /// Per port, a mask of the cores whose transaction on that port
+    /// retired since the engine last cleared it (wake feed only). A core
+    /// parked on a memory stall re-ticks when its bit appears under the
+    /// port it waits on — that port's retirement is the only event that
+    /// can make its retry succeed.
+    retired: [u64; PORT_COUNT],
     /// Cycle-stamped transition log; `None` (the default) records nothing
     /// and costs nothing.
     events: Option<Vec<MemEventRecord>>,
@@ -303,6 +349,7 @@ impl MemorySystem {
     /// Memory system serving `n_cores` cores.
     pub fn new(n_cores: usize, cfg: MemConfig) -> MemorySystem {
         assert!(cfg.bandwidth > 0, "bandwidth must be positive");
+        let horizon = service_horizon(&[cfg.latency, cfg.extra_latency], "latency + extra_latency");
         MemorySystem {
             cfg,
             cycle: 0,
@@ -322,9 +369,10 @@ impl MemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: RetireCalendar::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            retire_cal: RetireCalendar::new(n_cores * PORT_COUNT, horizon),
             pending_stores_dirty: false,
-            wake_feed: None,
+            wake_feed: false,
+            retired: [0; PORT_COUNT],
             events: None,
         }
     }
@@ -349,32 +397,33 @@ impl MemorySystem {
 
     // --- sparse-engine wake feed ---------------------------------------
 
-    /// Turn on the wake feed (see the `wake_feed` field). Off by default;
-    /// the naive loop pays nothing.
+    /// Turn on the wake feed (see [`MemorySystem::retired`]) for
+    /// `n_cores` cores. Off by default; the naive loop pays nothing.
+    ///
+    /// # Panics
+    /// Panics above 64 cores: the feed is one bit per core.
     pub fn enable_wake_feed(&mut self, n_cores: usize) {
-        // One outstanding transaction per (core, port): a single tick can
-        // retire at most PORT_COUNT entries per core.
-        self.wake_feed = Some(Vec::with_capacity(n_cores * PORT_COUNT));
+        assert!(n_cores <= 64, "the wake feed covers at most 64 cores");
+        self.wake_feed = true;
     }
 
-    /// The `(core, port)` of every transaction that retired since the
-    /// last [`MemorySystem::clear_wakes`], in retirement order (one entry
-    /// per retirement).
-    pub fn wakes(&self) -> &[(usize, Port)] {
-        self.wake_feed.as_deref().unwrap_or(&[])
+    /// Per port (indexed by `Port as usize`), the mask of cores whose
+    /// transaction on that port retired since the last
+    /// [`MemorySystem::clear_retired`]: bit `c` of `retired()[p]` is
+    /// core `c`. All zero while the wake feed is off.
+    pub fn retired(&self) -> [u64; PORT_COUNT] {
+        self.retired
     }
 
-    /// Forget the drained wake notifications.
-    pub fn clear_wakes(&mut self) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.clear();
-        }
+    /// Forget the drained retirements.
+    pub fn clear_retired(&mut self) {
+        self.retired = [0; PORT_COUNT];
     }
 
     #[inline]
-    fn push_wake(&mut self, core: usize, port: Port) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.push((core, port));
+    fn note_retired(&mut self, core: usize, port: Port) {
+        if self.wake_feed {
+            self.retired[port as usize] |= 1 << core;
         }
     }
 
@@ -402,9 +451,9 @@ impl MemorySystem {
         self.cycle = cycle;
     }
 
-    /// Pop the next request to serve: FIFO normally, a seeded random pick
-    /// under `service_reorder_seed`.
-    fn pop_service(&mut self) -> Option<(usize, Port)> {
+    /// Pop the slot id of the next request to serve: FIFO normally, a
+    /// seeded random pick under `service_reorder_seed`.
+    fn pop_service(&mut self) -> Option<u32> {
         match self.reorder_state.as_mut() {
             None => self.queue.pop_front(),
             Some(state) => {
@@ -459,39 +508,18 @@ impl MemorySystem {
         self.cycle += 1;
         self.stats.cycles += 1;
 
-        // 1. Retire in-service transactions that are done: pop exactly
-        // the due entries off the retirement calendar (ties retire in the
-        // same `(core, port)` order the old full port scan produced).
-        // `next_retire` is the calendar's minimum, so cycles with nothing
-        // to retire cost one comparison.
+        // 1. Retire in-service transactions that are done: take exactly
+        // the due bucket off the retirement wheel and walk its slot bits
+        // in ascending, i.e. `(core, port)`, order — the order the old
+        // full port scan produced. `next_retire` is the wheel's minimum,
+        // so cycles with nothing to retire cost one comparison.
         if self.in_service > 0 && self.next_retire <= self.cycle {
-            while let Some((done_at, core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
-                let port = Port::ALL[port_idx];
-                let txn = self.ports[core][port_idx]
-                    .as_mut()
-                    .expect("calendar entry without a transaction");
-                debug_assert_eq!(txn.state, TxnState::InService { done_at });
-                self.in_service -= 1;
-                if port.is_load() {
-                    txn.state = TxnState::Complete;
-                    self.complete += 1;
-                } else {
-                    // Stores retire fully; free the buffer.
-                    if port == Port::HeaderStore {
-                        let addr = txn.addr;
-                        remove_one(&mut self.pending_header_stores, addr);
-                        self.pending_stores_dirty = true;
-                    }
-                    self.ports[core][port_idx] = None;
-                    self.occupied -= 1;
-                }
-                self.log(MemEvent::Retire {
-                    core: core as u32,
-                    port,
-                });
-                self.push_wake(core, port);
+            debug_assert_eq!(self.next_retire, self.cycle, "retirement taken late");
+            let mut due = self.retire_cal.take(self.cycle);
+            while let Some(slot) = self.retire_cal.next_due(&mut due) {
+                self.retire(slot);
             }
-            self.next_retire = self.retire_cal.next_at();
+            self.next_retire = self.retire_cal.next_after(self.cycle);
         }
 
         // 2. Unblock header loads (comparator array re-check). A blocked
@@ -508,7 +536,7 @@ impl MemorySystem {
                                 txn.state = TxnState::Queued;
                                 let addr = txn.addr;
                                 self.blocked -= 1;
-                                self.queue.push_back((core, Port::HeaderLoad));
+                                self.queue.push_back(slot_of(core, Port::HeaderLoad));
                                 self.log(MemEvent::CompUnblocked {
                                     core: core as u32,
                                     addr,
@@ -531,10 +559,14 @@ impl MemorySystem {
             self.stats.queue_occupancy_sum += self.queue.len() as u64;
             self.stats.queue_busy_cycles += 1;
             for _ in 0..self.cfg.bandwidth {
-                let Some((core, port)) = self.pop_service() else {
+                let Some(slot) = self.pop_service() else {
                     break;
                 };
-                let latency = self.access_latency(core, port);
+                let (core, port) = slot_parts(slot as usize);
+                let latency = self.ports[core][port as usize]
+                    .as_ref()
+                    .expect("queued transaction must exist")
+                    .latency;
                 self.log(MemEvent::ServiceStart {
                     core: core as u32,
                     port,
@@ -563,7 +595,7 @@ impl MemorySystem {
                         core: core as u32,
                         port,
                     });
-                    self.push_wake(core, port);
+                    self.note_retired(core, port);
                     continue;
                 }
                 let done_at = self.cycle + latency as u64;
@@ -573,46 +605,45 @@ impl MemorySystem {
                 debug_assert_eq!(txn.state, TxnState::Queued);
                 txn.state = TxnState::InService { done_at };
                 self.in_service += 1;
-                self.retire_cal.push(done_at, core, port as usize);
+                self.retire_cal.push(self.cycle, done_at, slot as usize);
                 self.next_retire = self.next_retire.min(done_at);
             }
         }
     }
 
-    /// Effective latency of the transaction sitting in `(core, port)`:
-    /// body accesses that continue a sequential stream complete at burst
-    /// speed (0 = ready next cycle); header accesses and stream starts pay
-    /// the full random-access latency. The Figure 6 artificial latency is
-    /// added to everything.
-    fn access_latency(&mut self, core: usize, port: Port) -> u32 {
-        let latency = self.peek_latency(core, port);
-        if let Port::BodyLoad | Port::BodyStore = port {
-            let addr = self.ports[core][port as usize].as_ref().expect("txn").addr;
-            let slot = if port == Port::BodyLoad { 0 } else { 1 };
-            self.last_body_addr[core][slot] = Some(addr);
-        }
-        latency
-    }
-
-    /// [`MemorySystem::access_latency`] without the burst-state update:
-    /// what service for `(core, port)` *would* cost if it started now.
-    /// Exact for every queued transaction, because distinct queue entries
-    /// occupy distinct `(core, port)` buffers and therefore distinct burst
-    /// trackers.
-    fn peek_latency(&self, core: usize, port: Port) -> u32 {
-        let txn = self.ports[core][port as usize].as_ref().expect("txn");
-        let base = match port {
-            Port::BodyLoad | Port::BodyStore => {
-                let slot = if port == Port::BodyLoad { 0 } else { 1 };
-                if self.last_body_addr[core][slot] == Some(txn.addr.wrapping_sub(1)) {
-                    0
-                } else {
-                    self.cfg.latency
-                }
+    /// Retire the in-service transaction in `slot`, due this cycle: load
+    /// data becomes ready, a store frees its buffer.
+    #[inline]
+    fn retire(&mut self, slot: usize) {
+        let (core, port) = slot_parts(slot);
+        let txn = self.ports[core][port as usize]
+            .as_mut()
+            .expect("calendar entry without a transaction");
+        debug_assert_eq!(
+            txn.state,
+            TxnState::InService {
+                done_at: self.cycle
             }
-            _ => self.cfg.latency,
-        };
-        base + self.cfg.extra_latency
+        );
+        self.in_service -= 1;
+        if port.is_load() {
+            txn.state = TxnState::Complete;
+            self.complete += 1;
+        } else {
+            // Stores retire fully; free the buffer.
+            if port == Port::HeaderStore {
+                let addr = txn.addr;
+                remove_one(&mut self.pending_header_stores, addr);
+                self.pending_stores_dirty = true;
+            }
+            self.ports[core][port as usize] = None;
+            self.occupied -= 1;
+        }
+        self.log(MemEvent::Retire {
+            core: core as u32,
+            port,
+        });
+        self.note_retired(core, port);
     }
 
     /// Issue a request on `(core, port)`. Returns `false` (core stalls)
@@ -620,10 +651,33 @@ impl MemorySystem {
     ///
     /// Header loads to an address with a pending header store enter the
     /// blocked state and are only queued once the store retires.
+    ///
+    /// The service latency is fixed here, not at service start: body
+    /// accesses that continue a sequential stream on their `(core, port)`
+    /// complete at burst speed (0 = ready within the service-start tick);
+    /// header accesses and stream starts pay the full random-access
+    /// latency; the Figure 6 artificial latency is added to everything.
+    /// Deciding at issue is exact because the burst tracker is per
+    /// `(core, port)` and that buffer holds one transaction: the previous
+    /// access on it started service (indeed retired) before this issue,
+    /// whatever order the queue is served in.
     pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool {
         if self.ports[core][port as usize].is_some() {
             return false;
         }
+        let base = match port {
+            Port::BodyLoad | Port::BodyStore => {
+                let last = &mut self.last_body_addr[core][port as usize - Port::BodyLoad as usize];
+                let burst = *last == Some(addr.wrapping_sub(1));
+                *last = Some(addr);
+                if burst {
+                    0
+                } else {
+                    self.cfg.latency
+                }
+            }
+            Port::HeaderLoad | Port::HeaderStore => self.cfg.latency,
+        };
         let mut state = TxnState::Queued;
         if port == Port::HeaderLoad && self.pending_header_stores.contains(&addr) {
             // Comparator array: ordered behind the store regardless of any
@@ -646,6 +700,8 @@ impl MemorySystem {
         }
         self.ports[core][port as usize] = Some(Txn {
             addr,
+            // Cannot wrap: `new` bounded `latency + extra_latency`.
+            latency: base + self.cfg.extra_latency,
             state,
             issued_at: self.cycle,
         });
@@ -656,7 +712,7 @@ impl MemorySystem {
             addr,
         });
         match state {
-            TxnState::Queued => self.queue.push_back((core, port)),
+            TxnState::Queued => self.queue.push_back(slot_of(core, port)),
             TxnState::Blocked => {
                 self.blocked += 1;
                 self.log(MemEvent::CompBlocked {
@@ -789,9 +845,8 @@ impl MemorySystem {
     /// request would enter service with a nonzero latency (a zero-latency
     /// burst start completes within the tick, which the owning core sees
     /// immediately). Header-load unblocking may still happen — Blocked →
-    /// Queued changes nothing a core reads. The latency peek is exact for
-    /// every queued entry because distinct entries occupy distinct
-    /// `(core, port)` buffers and thus distinct burst trackers.
+    /// Queued changes nothing a core reads. Each queued request's
+    /// latency was fixed at issue.
     ///
     /// When true, the engine may run [`MemorySystem::tick`] for real and
     /// replicate the cores' stalled cycle without ticking them — every
@@ -800,9 +855,12 @@ impl MemorySystem {
         if self.queue.is_empty() || self.complete > 0 || self.next_retire <= self.cycle + 1 {
             return false;
         }
-        self.queue
-            .iter()
-            .all(|&(core, port)| self.peek_latency(core, port) > 0)
+        self.queue.iter().all(|&slot| {
+            let (core, port) = slot_parts(slot as usize);
+            self.ports[core][port as usize]
+                .as_ref()
+                .is_some_and(|txn| txn.latency > 0)
+        })
     }
 
     /// Skip `k` cycles in one jump. Only legal when
@@ -1251,21 +1309,33 @@ mod tests {
         assert!(inverted, "no seed inverted the service order");
     }
 
+    /// A per-port retirement mask with `bits` set for `port`.
+    fn masks(entries: &[(Port, u64)]) -> [u64; PORT_COUNT] {
+        let mut m = [0; PORT_COUNT];
+        for &(port, bits) in entries {
+            m[port as usize] |= bits;
+        }
+        m
+    }
+
     #[test]
     fn wake_feed_reports_retirements() {
         let mut m = mem(2); // latency 3, bandwidth 2
         m.enable_wake_feed(2);
-        assert!(m.wakes().is_empty());
+        assert_eq!(m.retired(), [0; PORT_COUNT]);
         assert!(m.try_issue(0, Port::BodyLoad, 10));
         assert!(m.try_issue(1, Port::BodyStore, 20));
         m.tick(); // both start service: done at cycle 4
-        assert!(m.wakes().is_empty(), "nothing retired yet");
+        assert_eq!(m.retired(), [0; PORT_COUNT], "nothing retired yet");
         m.tick();
         m.tick();
         m.tick(); // cycle 4: both retire
-        assert_eq!(m.wakes(), &[(0, Port::BodyLoad), (1, Port::BodyStore)]);
-        m.clear_wakes();
-        assert!(m.wakes().is_empty());
+        assert_eq!(
+            m.retired(),
+            masks(&[(Port::BodyLoad, 1 << 0), (Port::BodyStore, 1 << 1)])
+        );
+        m.clear_retired();
+        assert_eq!(m.retired(), [0; PORT_COUNT]);
         m.consume_load(0, Port::BodyLoad);
         assert!(m.all_idle());
     }
@@ -1280,12 +1350,173 @@ mod tests {
         for _ in 0..4 {
             m.tick();
         }
-        assert_eq!(m.wakes(), &[(0, Port::BodyStore)]);
-        m.clear_wakes();
+        assert_eq!(m.retired(), masks(&[(Port::BodyStore, 1)]));
+        m.clear_retired();
         assert!(m.try_issue(0, Port::BodyStore, 101));
         m.tick(); // burst continuation: latency 0, retires at service start
-        assert_eq!(m.wakes(), &[(0, Port::BodyStore)]);
+        assert_eq!(m.retired(), masks(&[(Port::BodyStore, 1)]));
         assert!(m.all_idle());
+    }
+
+    #[test]
+    fn wake_feed_reports_the_top_core_of_a_64_core_system() {
+        let mut m = mem(64);
+        m.enable_wake_feed(64);
+        assert!(m.try_issue(63, Port::HeaderLoad, 5));
+        assert!(m.try_issue(0, Port::HeaderStore, 6));
+        for _ in 0..4 {
+            m.tick();
+        }
+        assert_eq!(
+            m.retired(),
+            masks(&[(Port::HeaderLoad, 1 << 63), (Port::HeaderStore, 1)])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 cores")]
+    fn wake_feed_refuses_more_than_64_cores() {
+        mem(65).enable_wake_feed(65);
+    }
+
+    #[test]
+    fn wake_feed_off_reports_nothing() {
+        let mut m = mem(1);
+        assert!(m.try_issue(0, Port::BodyStore, 1));
+        for _ in 0..4 {
+            m.tick();
+        }
+        assert!(m.all_idle());
+        assert_eq!(m.retired(), [0; PORT_COUNT]);
+    }
+
+    #[test]
+    fn a_batch_spanning_several_bucket_words_retires_in_core_port_order() {
+        // 65 cores × 4 ports = 260 slots: five words per wheel bucket.
+        // Every request starts service on the same tick, so all retire
+        // on the same cycle, and the log must list them in `(core,
+        // port)` order across the word boundaries.
+        let mut m = MemorySystem::new(
+            65,
+            MemConfig {
+                latency: 3,
+                bandwidth: 260,
+                ..MemConfig::default()
+            },
+        );
+        m.enable_event_log();
+        for core in (0..65).rev() {
+            for port in Port::ALL {
+                assert!(m.try_issue(core, port, 1000 + core as u32));
+            }
+        }
+        for _ in 0..4 {
+            m.tick();
+        }
+        let retired: Vec<(u64, u32, Port)> = m
+            .take_event_log()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                MemEvent::Retire { core, port } => Some((r.cycle, core, port)),
+                _ => None,
+            })
+            .collect();
+        let expect: Vec<(u64, u32, Port)> = (0..65)
+            .flat_map(|core| Port::ALL.map(|port| (4, core, port)))
+            .collect();
+        assert_eq!(retired, expect);
+    }
+
+    #[test]
+    fn a_long_latency_retires_exactly_on_time() {
+        // `latency: 3000` sizes a 4096-bucket wheel; interleaved requests
+        // at 3000 and at burst speed plus `extra_latency` each retire at
+        // service start + latency, across several wraps of the wheel.
+        let mut m = MemorySystem::new(
+            2,
+            MemConfig {
+                latency: 3000,
+                bandwidth: 4,
+                ..MemConfig::default()
+            }
+            .with_extra_latency(3),
+        );
+        m.enable_event_log();
+        for addr in 100..108 {
+            assert!(m.try_issue(0, Port::BodyLoad, addr));
+            assert!(m.try_issue(1, Port::HeaderStore, addr));
+            while !m.load_ready(0, Port::BodyLoad) || m.port_busy(1, Port::HeaderStore) {
+                m.tick();
+            }
+            m.consume_load(0, Port::BodyLoad);
+        }
+        let mut started = [None; 2 * PORT_COUNT];
+        let mut retired = 0;
+        for rec in m.take_event_log() {
+            match rec.event {
+                MemEvent::ServiceStart {
+                    core,
+                    port,
+                    latency,
+                } => {
+                    let slot = slot_of(core as usize, port) as usize;
+                    started[slot] = Some(rec.cycle + u64::from(latency));
+                    let burst = port == Port::BodyLoad && rec.cycle > 3003;
+                    assert_eq!(latency, if burst { 3 } else { 3003 });
+                }
+                MemEvent::Retire { core, port } => {
+                    let slot = slot_of(core as usize, port) as usize;
+                    assert_eq!(started[slot].take(), Some(rec.cycle));
+                    retired += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(retired, 16);
+        assert!(m.cycle() > 4 * 4096, "the wheel wrapped several times");
+    }
+
+    #[test]
+    #[should_panic(expected = "latency + extra_latency = 4294967296 cycles exceeds")]
+    fn a_latency_sum_that_would_wrap_is_rejected() {
+        // `u32::MAX + 1` wraps to 0 in `u32`: the old per-access sum would
+        // have served these accesses instantly in release builds.
+        MemorySystem::new(
+            1,
+            MemConfig {
+                latency: u32::MAX,
+                ..MemConfig::default()
+            }
+            .with_extra_latency(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "service latency limit")]
+    fn a_latency_beyond_the_wheel_limit_is_rejected() {
+        MemorySystem::new(
+            1,
+            MemConfig {
+                latency: MAX_SERVICE_LATENCY as u32 - 2,
+                ..MemConfig::default()
+            }
+            .with_extra_latency(3),
+        );
+    }
+
+    #[test]
+    fn the_latency_limit_itself_is_accepted() {
+        let mut m = MemorySystem::new(
+            1,
+            MemConfig {
+                latency: MAX_SERVICE_LATENCY as u32 - 3,
+                ..MemConfig::default()
+            }
+            .with_extra_latency(3),
+        );
+        assert!(m.try_issue(0, Port::HeaderStore, 1));
+        m.tick();
+        assert_eq!(m.next_event_cycle(), Some(1 + MAX_SERVICE_LATENCY));
     }
 
     #[test]

@@ -9,16 +9,19 @@
 //!    no core-visible change (a load completing, a store freeing its
 //!    port) happens strictly before the returned cycle; `None` means no
 //!    change ever happens without new issues.
-//! 2. **Bank timing order** — (DRAM) replaying the event log, each
-//!    retirement lands exactly `latency` after its service start, and
-//!    within a bank consecutive service starts are separated by the
-//!    earlier access's full occupancy (one access in flight per bank,
-//!    plus the closed-page precharge re-arm).
-//! 3. **Wake completeness** — with the wake feed on, every `(core,
-//!    port)` whose load became ready or whose store freed its buffer in
-//!    a tick appears in that tick's `wakes()` (shadow comparison against
-//!    polling, the naive engine's view) — the port too, because a parked
-//!    core wakes only on the port its retry waits on.
+//! 2. **Retirement timing** — replaying the event log, each retirement
+//!    lands exactly `latency` after its service start. (DRAM) Within a
+//!    bank consecutive service starts are separated by the earlier
+//!    access's full occupancy (one access in flight per bank, plus the
+//!    closed-page precharge re-arm). (Fixed) A body access is a burst
+//!    continuation — latency `extra_latency` alone — exactly when the
+//!    previous access started on its `(core, port)` was to `addr − 1`.
+//! 3. **Wake completeness** — with the wake feed on, the per-port masks
+//!    of `retired()` after a tick are exactly the `(core, port)` pairs
+//!    whose load became ready or whose store freed its buffer in that
+//!    tick (shadow comparison against polling, the naive engine's view),
+//!    bit for bit — the port too, because a parked core wakes only on the
+//!    port its retry waits on.
 
 use hwgc_memsim::{
     DramConfig, DramMemorySystem, MemBackend, MemBackendKind, MemConfig, MemEvent, MemorySystem,
@@ -257,8 +260,93 @@ proptest! {
         prop_assert!(in_service.iter().all(Option::is_none), "unretired service");
     }
 
-    /// Contract 3 on the fixed backend: the wake feed reports every core
-    /// whose visible state improved in a tick.
+    /// Contract 2 on the fixed backend, under FIFO and reordered service:
+    /// replay the event log. Retirements land exactly `latency` after
+    /// service start, and a body access's latency is `extra` exactly
+    /// when it continues its `(core, port)` stream — the latency the
+    /// backend fixes at issue is the one service start would compute.
+    #[test]
+    fn fixed_retirement_respects_latency_and_burst_rule(
+        ops in ops(CORES),
+        lat in 1u32..6,
+        bw in 1u32..4,
+        extra in prop_oneof![Just(0u32), Just(3)],
+        reorder in prop_oneof![Just(None), (0u64..1_000).prop_map(Some)],
+    ) {
+        let mut cfg = MemConfig { latency: lat, bandwidth: bw, ..MemConfig::default() }
+            .with_extra_latency(extra);
+        cfg.service_reorder_seed = reorder;
+        let mut m = MemorySystem::new(CORES, cfg);
+        m.enable_event_log();
+        // Eight addresses, so streams continue (`addr − 1` then `addr`)
+        // often enough to exercise the burst path.
+        let ops: Vec<Op> = ops
+            .into_iter()
+            .map(|op| match op {
+                Op::Issue { core, port, addr } => Op::Issue { core, port, addr: addr % 8 },
+                op => op,
+            })
+            .collect();
+        for &op in &ops {
+            apply(&mut m, op);
+        }
+        for _ in 0..drain_bound(ops.len(), lat + extra) {
+            m.tick();
+        }
+        for c in 0..CORES {
+            for &p in &[Port::HeaderLoad, Port::BodyLoad] {
+                if m.load_ready(c, p) {
+                    m.consume_load(c, p);
+                }
+            }
+        }
+        prop_assert!(m.all_idle(), "traffic failed to drain");
+
+        let log = m.take_event_log();
+        let slot = |core: u32, port: Port| core as usize * PORT_COUNT + port as usize;
+        // Per slot: the address of the transaction in the buffer, the
+        // address of the last access that started service, and the
+        // cycle the access in service retires at.
+        let mut addr_of: Vec<Option<u32>> = vec![None; CORES * PORT_COUNT];
+        let mut last_started: Vec<Option<u32>> = vec![None; CORES * PORT_COUNT];
+        let mut due_at: Vec<Option<u64>> = vec![None; CORES * PORT_COUNT];
+        for rec in &log {
+            match rec.event {
+                MemEvent::Issue { core, port, addr } => addr_of[slot(core, port)] = Some(addr),
+                MemEvent::ServiceStart { core, port, latency } => {
+                    let s = slot(core, port);
+                    let addr = addr_of[s].expect("service start without an issue");
+                    if matches!(port, Port::BodyLoad | Port::BodyStore) {
+                        let burst = last_started[s] == Some(addr.wrapping_sub(1));
+                        prop_assert_eq!(
+                            latency == extra,
+                            burst,
+                            "core {} {:?} at {}: latency {} with previous start {:?}",
+                            core, port, addr, latency, last_started[s]
+                        );
+                    } else {
+                        prop_assert_eq!(latency, lat + extra, "header access latency");
+                    }
+                    last_started[s] = Some(addr);
+                    prop_assert!(due_at[s].is_none(), "double service start");
+                    due_at[s] = Some(rec.cycle + latency as u64);
+                }
+                MemEvent::Retire { core, port } => {
+                    let started = due_at[slot(core, port)].take();
+                    prop_assert_eq!(
+                        Some(rec.cycle),
+                        started,
+                        "retirement not exactly latency after service start"
+                    );
+                }
+                _ => {}
+            }
+        }
+        prop_assert!(due_at.iter().all(Option::is_none), "unretired service");
+    }
+
+    /// Contract 3 on the fixed backend: the wake feed reports exactly
+    /// the cores whose visible state improved in a tick.
     #[test]
     fn fixed_wake_feed_is_complete(
         ops in ops(CORES),
@@ -285,9 +373,9 @@ proptest! {
 }
 
 /// Shadow-naive comparison: before each tick poll the full visible
-/// state (as the naive engine would); after it, every improvement —
-/// a load turning ready, a busy port freeing — must have its `(core,
-/// port)` in `wakes()`. A parked core relies on exactly this to resume.
+/// state (as the naive engine would); after it, the improvements — a
+/// load turning ready, a busy port freeing — must equal the `retired()`
+/// masks bit for bit. A parked core relies on exactly this to resume.
 fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
     m.enable_wake_feed(CORES);
     let mut script = ops.clone();
@@ -306,25 +394,25 @@ fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
                         .collect::<Vec<_>>()
                 })
                 .collect::<Vec<_>>();
-            m.clear_wakes();
+            m.clear_retired();
             m.tick();
+            let mut improved = [0u64; PORT_COUNT];
             for (c, ports) in before.iter().enumerate() {
                 for (i, &p) in Port::ALL.iter().enumerate() {
                     let (was_ready, was_busy) = ports[i];
                     let now_ready = p.is_load() && m.load_ready(c, p);
                     let now_busy = m.port_busy(c, p);
                     if (now_ready && !was_ready) || (was_busy && !now_busy) {
-                        prop_assert!(
-                            m.wakes().contains(&(c, p)),
-                            "core {}'s {:?} port improved but the wake feed missed it \
-                             (wakes: {:?})",
-                            c,
-                            p,
-                            m.wakes()
-                        );
+                        improved[i] |= 1 << c;
                     }
                 }
             }
+            prop_assert_eq!(
+                m.retired(),
+                improved,
+                "retirement masks differ from the polled improvements at cycle {}",
+                m.cycle()
+            );
         } else {
             apply(&mut m, op);
         }
